@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algebra, closedform, exact, states, teleport
-from .validate import run_all_checks
+from .validate import ideal_channel_shortfall, run_all_checks
 
 __all__ = ["main", "SweepConfig"]
 
@@ -39,21 +39,6 @@ FIG_PRESETS = {
     "3a": {"command": "teleport", "m": 1, "q": (0.5, 0.9), "nbar": 10.0},
     "3b": {"command": "teleport", "m": 2, "q": (0.5, 0.9), "nbar": 10.0},
 }
-
-_DEFAULTS = {
-    "engine": "closed",
-    "q": (1.0,),
-    "m": 1,
-    "nbar": 10.0,
-    "lam": 1.0,
-    "t_max": 10.0,
-    "steps": 201,
-    "atoms": "1,0,0,0",
-    "alpha": "0.7071067811865476",
-    "beta": "0.7071067811865476",
-    "tail_eps": 1e-12,
-}
-
 
 def parse_complex(text: str) -> complex:
     """Accept 're', 're+imi' or 're+imj' forms."""
@@ -139,6 +124,36 @@ def fmt_complex(value: complex) -> str:
     return f"{fmt(z.real)}{z.imag:+.12g}i"
 
 
+def _floats(value) -> tuple[float, ...]:
+    return tuple(float(v) for v in
+                 (value.split(",") if isinstance(value, str) else value))
+
+
+def _atoms(text: str) -> tuple[complex, ...]:
+    atoms = tuple(parse_complex(v) for v in text.split(","))
+    if len(atoms) != 4:
+        raise ValueError("expected four comma-separated atomic amplitudes")
+    return atoms
+
+
+# Config key -> (SweepConfig field, parser).  The key is also the dest of
+# its flag, so a value comes from the flag, then the --config file, then
+# the --fig preset; a key none of them sets keeps the field's default.
+CONFIG_KEYS = {
+    "engine": ("engine", str),
+    "q": ("q_values", _floats),
+    "m": ("m", int),
+    "nbar": ("nbar", float),
+    "lam": ("lam", float),
+    "t_max": ("t_max", float),
+    "steps": ("steps", int),
+    "atoms": ("atoms", _atoms),
+    "alpha": ("alpha", parse_complex),
+    "beta": ("beta", parse_complex),
+    "tail_eps": ("tail_eps", float),
+}
+
+
 def _read_config_file(path: str) -> dict:
     values = {}
     for raw in Path(path).read_text().splitlines():
@@ -149,6 +164,11 @@ def _read_config_file(path: str) -> dict:
             raise ValueError(f"bad config line {raw!r} (expected key=value)")
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
+    unknown = sorted(set(values) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) {', '.join(unknown)} in {path}; "
+            f"accepted keys: {', '.join(CONFIG_KEYS)}")
     return values
 
 
@@ -158,39 +178,14 @@ def _resolve(args: argparse.Namespace, command: str) -> SweepConfig:
     if preset and preset.pop("command") != command:
         raise ValueError(
             f"preset {args.fig!r} belongs to the other subcommand")
-
-    def pick(key, flag_value, cast):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return cast(file_values[key])
-        if key in preset:
-            return preset[key]
-        return _DEFAULTS[key]
-
-    def float_list(text):
-        return tuple(float(v) for v in str(text).split(","))
-
-    q_values = pick("q", tuple(args.q) if args.q else None, float_list)
-    atoms_text = pick("atoms", args.atoms, str)
-    atoms = tuple(parse_complex(v) for v in str(atoms_text).split(","))
-    if len(atoms) != 4:
-        raise ValueError("expected four comma-separated atomic amplitudes")
-    return SweepConfig(
-        engine=pick("engine", args.engine, str),
-        q_values=tuple(float(v) for v in q_values),
-        m=int(pick("m", args.m, int)),
-        nbar=float(pick("nbar", args.nbar, float)),
-        lam=float(pick("lam", getattr(args, "lam", None), float)),
-        t_max=float(pick("t_max", args.t_max, float)),
-        steps=int(pick("steps", args.steps, int)),
-        atoms=atoms,
-        alpha=parse_complex(str(pick("alpha", getattr(args, "alpha", None), str))),
-        beta=parse_complex(str(pick("beta", getattr(args, "beta", None), str))),
-        tail_eps=float(pick("tail_eps", args.tail_eps, float)),
-        out=args.out,
-        fig=args.fig,
-    )
+    fields = {}
+    for key, (name, parse) in CONFIG_KEYS.items():
+        for value in (getattr(args, key, None), file_values.get(key),
+                      preset.get(key)):
+            if value is not None:
+                fields[name] = parse(value)
+                break
+    return SweepConfig(**fields, out=args.out, fig=args.fig)
 
 
 def _provenance(config: SweepConfig, command: str, cutoff: int) -> list[str]:
@@ -213,72 +208,53 @@ def _provenance(config: SweepConfig, command: str, cutoff: int) -> list[str]:
     return lines
 
 
-def _bloch_pair(config: SweepConfig, q: float, t: float, field, atoms,
-                propagator=None, initial=None):
-    """Closed-form and/or exact Bloch state for one grid point."""
-    analytic = reference = None
-    if config.engine in ("closed", "both"):
-        analytic = closedform.evolved_bloch(t, atoms, field,
-                                            config.hamiltonian(q))
-    if config.engine in ("exact", "both"):
-        evolved = propagator.evolve(initial, t)
-        reference = states.decompose(exact.reduced_atomic_state(evolved))
-    return analytic, reference
+def _sweep(config: SweepConfig, field):
+    """Yield (q, t, table, reduced) for every grid point: the closed-form
+    AmplitudeTable (None under --engine exact) and the exact engine's
+    reduced atomic state (None under --engine closed)."""
+    atoms = config.atomic_state()
+    closed = config.engine in ("closed", "both")
+    propagate = config.engine in ("exact", "both")
+    initial = exact.initial_composite_state(atoms, field) if propagate else None
+    for q in config.q_values:
+        spec = config.hamiltonian(q)
+        propagator = exact.Propagator(spec, field.cutoff) if propagate else None
+        for t in config.time_grid:
+            table = (closedform.amplitude_table(t, atoms, field, spec)
+                     if closed else None)
+            reduced = (exact.reduced_atomic_state(propagator.evolve(initial, t))
+                       if propagate else None)
+            yield q, t, table, reduced
 
 
 def cmd_simulate(config: SweepConfig, stream) -> int:
     field = config.field()
-    atoms = config.atomic_state()
     columns = SIMULATE_COLUMNS + (("max_dev",) if config.engine == "both" else ())
     for line in _provenance(config, "simulate", field.cutoff):
         print(line, file=stream)
     print(",".join(columns), file=stream)
-    for q in config.q_values:
-        propagator = initial = None
-        if config.engine in ("exact", "both"):
-            propagator = exact.Propagator(config.hamiltonian(q), field.cutoff)
-            initial = exact.initial_composite_state(atoms, field)
-        for t in config.time_grid:
-            analytic, reference = _bloch_pair(
-                config, q, t, field, atoms, propagator, initial)
-            bloch = analytic if analytic is not None else reference
-            rho = states.compose(bloch)
-            row = [
-                fmt(config.lam * t), fmt(q),
-                *(fmt(v) for v in bloch.s), *(fmt(v) for v in bloch.t),
-                fmt(np.linalg.norm(bloch.s)), fmt(np.linalg.norm(bloch.t)),
-                *(fmt(v) for v in bloch.cross.reshape(-1)),
-                fmt(states.entanglement_degree(bloch)),
-                fmt(states.purity(bloch)),
-                fmt(states.negativity(rho)),
-            ]
-            if config.engine == "both":
-                deviation = max(
-                    float(np.max(np.abs(analytic.s - reference.s))),
-                    float(np.max(np.abs(analytic.t - reference.t))),
-                    float(np.max(np.abs(analytic.cross - reference.cross))),
-                )
-                row.append(fmt(deviation))
-            print(",".join(row), file=stream)
+    for q, t, table, reduced in _sweep(config, field):
+        bloch = (states.decompose(reduced) if table is None
+                 else closedform.bloch_from_table(table))
+        rho = states.compose(bloch)
+        row = [
+            fmt(config.lam * t), fmt(q),
+            *(fmt(v) for v in bloch.s), *(fmt(v) for v in bloch.t),
+            fmt(np.linalg.norm(bloch.s)), fmt(np.linalg.norm(bloch.t)),
+            *(fmt(v) for v in bloch.cross.reshape(-1)),
+            fmt(states.entanglement_degree(bloch)),
+            fmt(states.purity(bloch)),
+            fmt(states.negativity(rho)),
+        ]
+        if config.engine == "both":
+            row.append(fmt(states.max_deviation(
+                bloch, states.decompose(reduced))))
+        print(",".join(row), file=stream)
     return 0
-
-
-def _ideal_channel_selftest() -> str:
-    bell = np.zeros((4, 4), dtype=complex)
-    bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
-    channel = exact.DensityMatrix.from_matrix(bell)
-    unknown = teleport.UnknownQubit.from_bloch((1.0, 0.0, 0.0))
-    outcomes = teleport.circuit_teleport(channel, unknown)
-    worst = max(abs(1.0 - teleport.fidelity_overlap(unknown, o.bob_state))
-                for o in outcomes)
-    status = "PASS" if worst < 1e-10 else "FAIL"
-    return (f"# self-test: ideal channel worst fidelity shortfall "
-            f"{worst:.3e} {status}")
 
 
 def cmd_teleport(config: SweepConfig, stream) -> int:
     field = config.field()
-    atoms = config.atomic_state()
     unknown = config.unknown_qubit()
     su = unknown.su
     for line in _provenance(config, "teleport", field.cutoff):
@@ -287,48 +263,36 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
           f"su={','.join(fmt(v) for v in su)}", file=stream)
     print("# f_paper: quarter-normalised score from the branch-weighted "
           "receiver vector (closed-form sums on the ee branch)", file=stream)
-    print(_ideal_channel_selftest(), file=stream)
+    shortfall = ideal_channel_shortfall(
+        [teleport.UnknownQubit.from_bloch((1.0, 0.0, 0.0))])
+    print(f"# self-test: ideal channel worst fidelity shortfall "
+          f"{shortfall:.3e} {'PASS' if shortfall < 1e-10 else 'FAIL'}",
+          file=stream)
     columns = TELEPORT_COLUMNS + (("max_dev",) if config.engine == "both" else ())
     print(",".join(columns), file=stream)
-    for q in config.q_values:
-        spec = config.hamiltonian(q)
-        propagator = initial = None
-        if config.engine in ("exact", "both"):
-            propagator = exact.Propagator(spec, field.cutoff)
-            initial = exact.initial_composite_state(atoms, field)
-        for t in config.time_grid:
-            table = None
-            if config.engine in ("closed", "both"):
-                table = closedform.amplitude_table(t, atoms, field, spec)
-            if config.engine == "exact":
-                channel = exact.reduced_atomic_state(
-                    propagator.evolve(initial, t))
+    for q, t, table, reduced in _sweep(config, field):
+        channel = (reduced if table is None
+                   else states.compose(closedform.bloch_from_table(table)))
+        outcomes = teleport.circuit_teleport(channel, unknown)
+        f_avg = teleport.average_fidelity(outcomes, unknown)
+        exact_outcomes = (teleport.circuit_teleport(reduced, unknown)
+                          if config.engine == "both" else None)
+        for index, outcome in enumerate(outcomes):
+            if outcome.outcome_label == "ee" and table is not None:
+                sb_weighted = teleport.closed_form_bob(unknown, table)
             else:
-                channel = states.compose(closedform.bloch_from_table(table))
-            outcomes = teleport.circuit_teleport(channel, unknown)
-            f_avg = teleport.average_fidelity(outcomes, unknown)
-            exact_outcomes = None
-            if config.engine == "both":
-                exact_channel = exact.reduced_atomic_state(
-                    propagator.evolve(initial, t))
-                exact_outcomes = teleport.circuit_teleport(
-                    exact_channel, unknown)
-            for index, outcome in enumerate(outcomes):
-                if outcome.outcome_label == "ee" and table is not None:
-                    sb_weighted = teleport.closed_form_bob(unknown, table)
-                else:
-                    sb_weighted = 2.0 * outcome.probability * outcome.sb
-                row = [
-                    fmt(config.lam * t), fmt(q), outcome.outcome_label,
-                    fmt(outcome.probability),
-                    fmt(teleport.fidelity_paper(su, sb_weighted)),
-                    fmt(teleport.fidelity_overlap(unknown, outcome.bob_state)),
-                    fmt(f_avg),
-                ]
-                if exact_outcomes is not None:
-                    row.append(fmt(float(np.max(np.abs(
-                        outcome.sb - exact_outcomes[index].sb)))))
-                print(",".join(row), file=stream)
+                sb_weighted = 2.0 * outcome.probability * outcome.sb
+            row = [
+                fmt(config.lam * t), fmt(q), outcome.outcome_label,
+                fmt(outcome.probability),
+                fmt(teleport.fidelity_paper(su, sb_weighted)),
+                fmt(teleport.fidelity_overlap(unknown, outcome.bob_state)),
+                fmt(f_avg),
+            ]
+            if exact_outcomes is not None:
+                row.append(fmt(float(np.max(np.abs(
+                    outcome.sb - exact_outcomes[index].sb)))))
+            print(",".join(row), file=stream)
     return 0
 
 

@@ -96,6 +96,26 @@ class AmplitudeTable:
         ci = self.c[i - 1]
         return float(np.sum(ci.real**2 + ci.imag**2))
 
+    @functools.cached_property
+    def populations(self) -> tuple[float, float, float, float]:
+        """(n1, n2, n3, n4): the population of each amplitude row."""
+        return (self.population(1), self.population(2),
+                self.population(3), self.population(4))
+
+    @functools.cached_property
+    def correlations(self) -> tuple[complex, ...]:
+        """(ee_ge, eg_gg, ee_eg, ge_gg, ee_gg, eg_ge), the six shifted
+        correlations read by the Bloch reduction and the receiver vector.
+
+        Products pair amplitudes living on the same photon number: flipping
+        one atom shifts the manifold index by m, flipping both by 2m (the
+        eg/ge coherence stays inside one manifold).
+        """
+        m = self.m
+        return (self.correlation(1, 3, m), self.correlation(2, 4, m),
+                self.correlation(1, 2, m), self.correlation(3, 4, m),
+                self.correlation(1, 4, 2 * m), self.correlation(2, 3, 0))
+
     @property
     def total_weight(self) -> float:
         return float(np.sum(self.c.real**2 + self.c.imag**2))
@@ -158,13 +178,6 @@ def _cached_couplings(n_lo: int, n_hi: int, m: int, lam: float,
     return nu1, nu2, mu
 
 
-def _coupling_arrays(n_values: np.ndarray, m: int, lam: float,
-                     q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    q_value = q.q if hasattr(q, "q") else float(q)
-    return _cached_couplings(int(n_values[0]), int(n_values[-1]), m, lam,
-                             q_value)
-
-
 def _amplitude_arrays(t: float, atoms: AtomicInitialState, field: FieldSpec,
                       spec: HamiltonianSpec, n_values: np.ndarray) -> np.ndarray:
     a1, a2, a3, a4 = atoms.amplitudes
@@ -181,7 +194,8 @@ def _amplitude_arrays(t: float, atoms: AtomicInitialState, field: FieldSpec,
     w_nm = w_at(n_values + m)
     w_n2m = w_at(n_values + 2 * m)
 
-    nu1, nu2, mu = _coupling_arrays(n_values, m, spec.lambda1, spec.q)
+    nu1, nu2, mu = _cached_couplings(int(n_values[0]), int(n_values[-1]),
+                                     m, spec.lambda1, spec.q.q)
 
     # Frozen manifolds have mu = 0; there sin(2 mu t)/(2 mu) -> t and
     # sin^2(mu t)/mu^2 -> t^2, both multiplied by vanishing couplings.
@@ -241,22 +255,9 @@ def evolved_bloch(t: float, atoms: AtomicInitialState, field: FieldSpec,
 
 
 def bloch_from_table(table: AmplitudeTable) -> TwoQubitBlochState:
-    """Reduce an amplitude table to the two-atom Bloch representation.
-
-    Products pair amplitudes living on the same photon number: flipping
-    one atom shifts the manifold index by m, flipping both by 2m (the
-    eg/ge coherence stays inside one manifold).
-    """
-    m = table.m
-    pops = [table.population(i) for i in (1, 2, 3, 4)]
-    n1, n2, n3, n4 = pops
-
-    ee_ge = table.correlation(1, 3, m)
-    eg_gg = table.correlation(2, 4, m)
-    ee_eg = table.correlation(1, 2, m)
-    ge_gg = table.correlation(3, 4, m)
-    ee_gg = table.correlation(1, 4, 2 * m)
-    eg_ge = table.correlation(2, 3, 0)
+    """Reduce an amplitude table to the two-atom Bloch representation."""
+    n1, n2, n3, n4 = table.populations
+    ee_ge, eg_gg, ee_eg, ge_gg, ee_gg, eg_ge = table.correlations
 
     s = np.array([
         2.0 * (ee_ge + eg_gg).real,

@@ -273,12 +273,12 @@ class Propagator:
     def __init__(self, spec: HamiltonianSpec, cutoff: int):
         self.spec = spec
         self.cutoff = cutoff
-        self.hamiltonian = build_hamiltonian(spec, cutoff)
+        hamiltonian = build_hamiltonian(spec, cutoff)
         dim_field = cutoff + 1
         self._blocks = []
         for members in _manifold_index_sets(cutoff, spec.m):
             flat = np.array([k * dim_field + n for k, n in members])
-            sub = self.hamiltonian[np.ix_(flat, flat)]
+            sub = hamiltonian[np.ix_(flat, flat)]
             eigvals, eigvecs = np.linalg.eigh(sub)
             self._blocks.append((flat, eigvals, eigvecs))
 

@@ -24,6 +24,7 @@ __all__ = [
     "compose",
     "decompose",
     "entanglement_degree",
+    "max_deviation",
     "negativity",
     "purity",
     "werner_parameters",
@@ -110,6 +111,14 @@ def purity(state: TwoQubitBlochState) -> float:
     """tr(rho^2) = (1 + |s|^2 + |t|^2 + ||C||_F^2)/4, in [1/4, 1]."""
     return (1.0 + float(state.s @ state.s) + float(state.t @ state.t)
             + float(np.sum(state.cross * state.cross))) / 4.0
+
+
+def max_deviation(a: TwoQubitBlochState, b: TwoQubitBlochState) -> float:
+    """Largest component difference between two Bloch representations,
+    over s, t and the cross dyadic."""
+    return max(float(np.max(np.abs(a.s - b.s))),
+               float(np.max(np.abs(a.t - b.t))),
+               float(np.max(np.abs(a.cross - b.cross))))
 
 
 def entanglement_degree(state: TwoQubitBlochState) -> float:

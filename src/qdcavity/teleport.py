@@ -153,15 +153,9 @@ def closed_form_bob(unknown: UnknownQubit, table: AmplitudeTable) -> np.ndarray:
     t = 0 over a doubly-excited channel they give (0, 0, |beta|^2).
     """
     alpha, beta = complex(unknown.alpha), complex(unknown.beta)
-    m = table.m
-
-    pop = {i: table.population(i) for i in (1, 2, 3, 4)}
-    ee_eg = table.correlation(1, 2, m)
-    ge_gg = table.correlation(3, 4, m)
-    ee_ge = table.correlation(1, 3, m)
-    eg_gg = table.correlation(2, 4, m)
-    ee_gg = table.correlation(1, 4, 2 * m)
-    ge_eg = table.correlation(3, 2, 0)
+    n1, n2, n3, n4 = table.populations
+    ee_ge, eg_gg, ee_eg, ge_gg, ee_gg, eg_ge = table.correlations
+    ge_eg = eg_ge.conjugate()
 
     aa = abs(alpha) ** 2
     bb = abs(beta) ** 2
@@ -172,7 +166,7 @@ def closed_form_bob(unknown: UnknownQubit, table: AmplitudeTable) -> np.ndarray:
         + 2.0 * (ab * (ge_eg + gg_ee)).real
     sy = aa * 2.0 * ge_gg.imag + bb * 2.0 * ee_eg.imag \
         + 2.0 * (ab * (ge_eg - gg_ee)).imag
-    sz = aa * (pop[3] - pop[4]) + bb * (pop[1] - pop[2]) \
+    sz = aa * (n3 - n4) + bb * (n1 - n2) \
         + 2.0 * (np.conj(ab) * (ee_ge - eg_gg)).real
     return np.array([sx, sy, sz])
 

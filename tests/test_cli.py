@@ -72,6 +72,15 @@ class TestConfigFile:
         assert code == 2
         assert "key=value" in err
 
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nbarr=5\nlambda=2\nsteps=3\n")
+        code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "lambda, nbarr" in err
+        assert "accepted keys: engine, q, m, nbar, lam, t_max" in err
+
 
 class TestSimulate:
     def test_initial_row_values(self, capsys):
