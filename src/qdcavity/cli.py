@@ -97,7 +97,7 @@ class SweepConfig:
 
     def unknown_qubit(self) -> teleport.UnknownQubit:
         ket = np.array([self.alpha, self.beta], dtype=complex)
-        norm = np.linalg.norm(ket)
+        norm = float(np.linalg.norm(ket))
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"unknown-qubit amplitudes have norm {norm!r}")
         ket = ket / norm

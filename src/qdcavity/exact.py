@@ -2,10 +2,10 @@
 
 The interaction couples the two atoms to the mode through m-photon
 exchanges, so the composite space splits into invariant manifolds
-{|ee,n>, |eg,n+m>, |ge,n+m>, |gg,n+2m>}.  The propagator diagonalises
-each (at most 4x4) Hermitian block once and reuses the decomposition for
-every evolution time.  Atomic basis order is ee, eg, ge, gg with the
-excited level first.
+{|ee,n>, |eg,n+m>, |ge,n+m>, |gg,n+2m>}.  The propagator holds the
+Hermitian blocks as one stack per block size (1, 3 or 4), diagonalises
+each stack once and reuses the decomposition for every evolution time.
+Atomic basis order is ee, eg, ge, gg with the excited level first.
 """
 
 import functools
@@ -247,52 +247,50 @@ def build_hamiltonian(spec: HamiltonianSpec, cutoff: int) -> np.ndarray:
     return h
 
 
-def _manifold_index_sets(cutoff: int, m: int) -> list[list[tuple[int, int]]]:
-    """Partition of the (level, photon) basis into invariant blocks."""
-    blocks: list[list[tuple[int, int]]] = []
-    for n in range(0, cutoff - 2 * m + 1):
-        blocks.append([(0, n), (1, n + m), (2, n + m), (3, n + 2 * m)])
-    for n in range(cutoff - 2 * m + 1, cutoff - m + 1):
-        blocks.append([(0, n), (1, n + m), (2, n + m)])
-    for n in range(cutoff - m + 1, cutoff + 1):
-        blocks.append([(0, n)])
-    for j in range(0, m):
-        blocks.append([(1, j), (2, j), (3, j + m)])
-    for j in range(0, m):
-        blocks.append([(3, j)])
-    return blocks
+def _manifold_blocks(cutoff: int, m: int) -> list[np.ndarray]:
+    """Flat indices of the invariant blocks, one (blocks, size) stack per
+    block size; with cutoff >= 2m exactly the sizes 1, 3 and 4 occur.
+    |k,p> lies in manifold n = p - (0, m, m, 2m)[k]; the stable sort on n
+    keeps each block's members in ee, eg, ge, gg order."""
+    dim = cutoff + 1
+    label = np.tile(np.arange(dim), 4) - np.repeat([0, m, m, 2 * m], dim)
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-2 * m - 1))
+    sizes = np.diff(starts, append=order.size)
+    return [order[starts[sizes == k][:, None] + np.arange(k)]
+            for k in (1, 3, 4)]
 
 
 class Propagator:
     """Spectral block propagator for one (spec, cutoff) pair.
 
-    The block eigendecompositions are immutable after construction, so a
-    single instance may be shared across threads and evolution times.
+    One stack per block size, each eigendecomposed once; the stacks are
+    immutable after construction, so a single instance may be shared
+    across threads and evolution times.
     """
 
     def __init__(self, spec: HamiltonianSpec, cutoff: int):
         self.spec = spec
         self.cutoff = cutoff
         hamiltonian = build_hamiltonian(spec, cutoff)
-        dim_field = cutoff + 1
-        self._blocks = []
-        for members in _manifold_index_sets(cutoff, spec.m):
-            flat = np.array([k * dim_field + n for k, n in members])
-            sub = hamiltonian[np.ix_(flat, flat)]
-            eigvals, eigvecs = np.linalg.eigh(sub)
-            self._blocks.append((flat, eigvals, eigvecs))
+        self._stacks = []
+        for flat in _manifold_blocks(cutoff, spec.m):
+            eigvals, eigvecs = np.linalg.eigh(
+                hamiltonian[flat[:, :, None], flat[:, None, :]])
+            self._stacks.append((flat, eigvals, eigvecs))
 
     def evolve(self, state: CompositeState, t: float) -> CompositeState:
-        """psi(t) = exp(-i H t) psi(0), block by block."""
+        """psi(t) = exp(-i H t) psi(0), one stack of blocks at a time."""
         if t < 0:
             raise ValueError("evolution time must be nonnegative")
         if state.cutoff != self.cutoff:
             raise ConfigurationError("state cutoff does not match propagator")
         amps = state.amplitudes.reshape(-1).copy()
-        for flat, eigvals, eigvecs in self._blocks:
-            sub = amps[flat]
-            phases = np.exp(-1j * eigvals * t)
-            amps[flat] = eigvecs @ (phases * (eigvecs.conj().T @ sub))
+        for flat, eigvals, eigvecs in self._stacks:
+            sub = amps[flat][:, :, None]
+            phases = np.exp(-1j * eigvals * t)[:, :, None]
+            amps[flat] = (eigvecs @ (
+                phases * (eigvecs.conj().transpose(0, 2, 1) @ sub)))[:, :, 0]
         return CompositeState(self.cutoff, amps.reshape(4, self.cutoff + 1))
 
 

@@ -52,7 +52,7 @@ class UnknownQubit:
     beta: complex
 
     def __post_init__(self):
-        norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        norm_sq = float(abs(self.alpha) ** 2 + abs(self.beta) ** 2)
         if abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(f"input not normalised, |alpha|^2+|beta|^2={norm_sq!r}")
 
@@ -73,7 +73,7 @@ class UnknownQubit:
     def from_bloch(cls, su) -> "UnknownQubit":
         """Pure state with the given unit Bloch vector."""
         sx, sy, sz = (float(v) for v in np.asarray(su, dtype=float))
-        norm = np.sqrt(sx * sx + sy * sy + sz * sz)
+        norm = float(np.sqrt(sx * sx + sy * sy + sz * sz))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"pure input needs |su| = 1, got {norm!r}")
         alpha = np.sqrt(max((1.0 + sz) / 2.0, 0.0))

@@ -176,6 +176,12 @@ class TestTeleport:
         assert code == 0
         assert "# alpha=1+0i beta=0+0i" in out
 
+    def test_unnormalised_input_state_rejected(self, capsys):
+        code, _, err = run_cli(
+            ["teleport", "--steps", "2", "--alpha", "1", "--beta", "1"], capsys)
+        assert code == 2
+        assert "1.4142135623730951" in err and "np.float64" not in err
+
     def test_deterministic_output(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

@@ -16,11 +16,21 @@ from qdcavity import (
     propagate,
     reduced_atomic_state,
 )
-from qdcavity.exact import deformed_lowering_power
+from qdcavity.exact import _manifold_blocks, deformed_lowering_power
 
 
 def excited_pair():
     return AtomicInitialState(1.0, 0.0, 0.0, 0.0)
+
+
+def manifold_members(cutoff, m):
+    """Flat indices of {|ee,n>, |eg,n+m>, |ge,n+m>, |gg,n+2m>} inside
+    the cutoff, one list per nonempty manifold n."""
+    offsets = (0, m, m, 2 * m)
+    blocks = ([k * (cutoff + 1) + n + offsets[k] for k in range(4)
+               if 0 <= n + offsets[k] <= cutoff]
+              for n in range(-2 * m, cutoff + 1))
+    return [members for members in blocks if members]
 
 
 class TestHamiltonianSpec:
@@ -78,21 +88,25 @@ class TestBuildHamiltonian:
         assert h[idx["ee0"], idx["gg2"]] == 0.0
 
     def test_manifold_closure(self):
-        # No coupling leaks between the invariant blocks.
-        from qdcavity.exact import _manifold_index_sets
-
-        spec = HamiltonianSpec.resonant(1.0, m=2, q=0.9)
-        cutoff = 11
-        h = build_hamiltonian(spec, cutoff)
-        membership = np.full(4 * (cutoff + 1), -1)
-        for b, members in enumerate(_manifold_index_sets(cutoff, spec.m)):
-            for k, n in members:
-                flat = k * (cutoff + 1) + n
-                assert membership[flat] == -1  # partition: no overlaps
-                membership[flat] = b
-        assert np.all(membership >= 0)  # partition: full coverage
-        off_block = np.abs(h) * (membership[:, None] != membership[None, :])
-        assert np.max(off_block) < 1e-14
+        # The stacks partition the basis into the manifolds, members in
+        # ee, eg, ge, gg order, and no coupling leaks between blocks.
+        for m in (1, 2, 3):
+            spec = HamiltonianSpec(1.3, 0.7, m, 0.9, detuning=0.8,
+                                   field_freq=5.0)
+            cutoff = 4 * m + 3
+            h = build_hamiltonian(spec, cutoff)
+            stacks = _manifold_blocks(cutoff, m)
+            assert [stack.shape[1] for stack in stacks] == [1, 3, 4]
+            blocks = sorted(row.tolist() for stack in stacks for row in stack)
+            assert blocks == sorted(manifold_members(cutoff, m))
+            membership = np.full(4 * (cutoff + 1), -1)
+            for b, members in enumerate(blocks):
+                assert np.all(np.diff(np.array(members) // (cutoff + 1)) > 0)
+                assert np.all(membership[members] == -1)  # no overlaps
+                membership[members] = b
+            assert np.all(membership >= 0)  # full coverage
+            off_block = np.abs(h) * (membership[:, None] != membership[None, :])
+            assert np.max(off_block) == 0.0
 
 
 class TestInitialState:
@@ -141,6 +155,33 @@ class TestPropagate:
             evolved = prop.evolve(state, t)
             assert np.linalg.norm(evolved.amplitudes) == pytest.approx(
                 1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("spec_kwargs", [
+        {},
+        {"detuning": 0.8, "field_freq": 5.0},
+        {"lambda1": 1.3, "lambda2": 0.7},
+    ], ids=["resonant", "detuned", "unequal"])
+    def test_matches_per_block_loop(self, m, spec_kwargs, rng):
+        # Reference: cut, diagonalise and evolve each manifold on its own.
+        spec = HamiltonianSpec(**{"lambda1": 1.0, "lambda2": 1.0, "m": m,
+                                  "q": 0.8, **spec_kwargs})
+        cutoff = 5 * m + 4
+        h = build_hamiltonian(spec, cutoff)
+        blocks = [(members, *np.linalg.eigh(h[np.ix_(members, members)]))
+                  for members in manifold_members(cutoff, m)]
+        amps = (rng.normal(size=(4, cutoff + 1))
+                + 1j * rng.normal(size=(4, cutoff + 1)))
+        state = CompositeState(cutoff, amps / np.linalg.norm(amps))
+        prop = Propagator(spec, cutoff)
+        for t in (0.0, 0.3, 2.7, 11.0):
+            expected = state.amplitudes.reshape(-1).copy()
+            for members, eigvals, eigvecs in blocks:
+                phases = np.exp(-1j * eigvals * t)
+                expected[members] = eigvecs @ (
+                    phases * (eigvecs.conj().T @ expected[members]))
+            assert np.array_equal(prop.evolve(state, t).amplitudes.reshape(-1),
+                                  expected)
 
     def test_rejects_negative_time(self):
         field = coherent_weights(0.0, 2)

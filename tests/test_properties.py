@@ -1,14 +1,17 @@
-"""Property-based agreement of the closed form with the exact propagator
-over generated atoms, deformations, multiplicities, field strengths and
-times, beyond the fixed grid of the acceptance suite."""
+"""Property-based tests over generated atoms, deformations,
+multiplicities, field strengths and times, beyond the fixed grid of the
+acceptance suite: the closed form against the exact propagator, and the
+exact propagator's conservation laws where the closed form does not
+apply."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qdcavity import (AtomicInitialState, HamiltonianSpec, Propagator,
-                      choose_cutoff, coherent_weights, decompose,
-                      evolved_bloch, initial_composite_state,
-                      reduced_atomic_state)
+from qdcavity import (AtomicInitialState, CompositeState, HamiltonianSpec,
+                      Propagator, build_hamiltonian, choose_cutoff,
+                      coherent_weights, decompose, evolved_bloch,
+                      initial_composite_state, reduced_atomic_state)
 from qdcavity.states import max_deviation
 
 component = st.floats(-1.0, 1.0, allow_nan=False)
@@ -28,3 +31,26 @@ def test_closed_form_matches_exact_propagator(parts, q, m, nbar, t):
         initial_composite_state(atoms, field), t))
     assert max_deviation(evolved_bloch(t, atoms, field, spec),
                          decompose(reduced)) < 1e-6
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(lambda1=st.floats(0.1, 3.0), lambda2=st.floats(0.1, 3.0),
+       detuning=st.floats(-3.0, 3.0), field_freq=st.floats(0.0, 5.0),
+       q=st.floats(0.0, 1.0), m=st.integers(1, 3), t=st.floats(0.0, 20.0),
+       data=st.data())
+def test_exact_propagator_conserves_norm_and_energy(
+        lambda1, lambda2, detuning, field_freq, q, m, t, data):
+    cutoff = data.draw(st.integers(2 * m, 40), label="cutoff")
+    parts = data.draw(arrays(np.float64, (2, 4, cutoff + 1),
+                             elements=component), label="parts")
+    assume(np.linalg.norm(parts) > 1e-3)
+    amps = parts[0] + 1j * parts[1]
+    state = CompositeState(cutoff, amps / np.linalg.norm(amps))
+    spec = HamiltonianSpec(lambda1, lambda2, m, q, detuning=detuning,
+                           field_freq=field_freq)
+    h = build_hamiltonian(spec, cutoff)
+    psi0 = state.amplitudes.reshape(-1)
+    e0 = (psi0.conj() @ h @ psi0).real
+    psi = Propagator(spec, cutoff).evolve(state, t).amplitudes.reshape(-1)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
+    assert abs((psi.conj() @ h @ psi).real - e0) < 1e-9 * max(1.0, abs(e0))

@@ -52,6 +52,12 @@ class TestUnknownQubit:
         with pytest.raises(ValueError):
             UnknownQubit(alpha=1.0, beta=1.0)
 
+    def test_rejection_messages_hold_plain_floats(self):
+        with pytest.raises(ValueError, match=r"=2\.0$"):
+            UnknownQubit(alpha=np.complex128(1), beta=np.complex128(1))
+        with pytest.raises(ValueError, match=r"got 1\.4142135623730951$"):
+            UnknownQubit.from_bloch((1, 1, 0))
+
 
 class TestCircuit:
     def test_ideal_channel_every_branch(self, rng):
