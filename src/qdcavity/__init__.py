@@ -23,7 +23,6 @@ from .closedform import (
     AmplitudeQuadruple,
     AmplitudeTable,
     UnsupportedConfigurationError,
-    amplitude_quadruple,
     amplitude_table,
     bloch_from_table,
     evolved_bloch,
@@ -84,7 +83,6 @@ __all__ = [
     "UnknownQubit",
     "UnsupportedConfigurationError",
     "WernerParameters",
-    "amplitude_quadruple",
     "amplitude_table",
     "average_fidelity",
     "bloch_from_table",

@@ -86,6 +86,11 @@ class SweepConfig:
                 self.warnings.append(
                     f"renormalised atomic amplitudes (norm was {norm!r})")
             self.atoms = rescaled
+        # A bad value must fail here, before any output or --out file exists.
+        for q in self.q_values:
+            algebra.DeformationParameter(q)
+        self.field()
+        self.unknown_qubit()
 
     @property
     def time_grid(self) -> np.ndarray:
@@ -209,9 +214,9 @@ def _provenance(config: SweepConfig, command: str, cutoff: int) -> list[str]:
 
 
 def _sweep(config: SweepConfig, field):
-    """Yield (q, t, table, reduced) for every grid point: the closed-form
-    AmplitudeTable (None under --engine exact) and the exact engine's
-    reduced atomic state (None under --engine closed)."""
+    """Yield (q, times, table, reduced) per chunk of the time grid: the
+    closed-form AmplitudeTable (None under --engine exact) and the exact
+    engine's reduced atomic states (None under --engine closed)."""
     atoms = config.atomic_state()
     closed = config.engine in ("closed", "both")
     propagate = config.engine in ("exact", "both")
@@ -219,12 +224,12 @@ def _sweep(config: SweepConfig, field):
     for q in config.q_values:
         spec = config.hamiltonian(q)
         propagator = exact.Propagator(spec, field.cutoff) if propagate else None
-        for t in config.time_grid:
-            table = (closedform.amplitude_table(t, atoms, field, spec)
+        for times in algebra.time_chunks(config.time_grid, field.cutoff):
+            table = (closedform.amplitude_table(times, atoms, field, spec)
                      if closed else None)
-            reduced = (exact.reduced_atomic_state(propagator.evolve(initial, t))
-                       if propagate else None)
-            yield q, t, table, reduced
+            reduced = (exact.reduced_atomic_state(
+                propagator.evolve(initial, times)) if propagate else None)
+            yield q, times, table, reduced
 
 
 def cmd_simulate(config: SweepConfig, stream) -> int:
@@ -233,23 +238,22 @@ def cmd_simulate(config: SweepConfig, stream) -> int:
     for line in _provenance(config, "simulate", field.cutoff):
         print(line, file=stream)
     print(",".join(columns), file=stream)
-    for q, t, table, reduced in _sweep(config, field):
+    for q, times, table, reduced in _sweep(config, field):
         bloch = (states.decompose(reduced) if table is None
                  else closedform.bloch_from_table(table))
         rho = states.compose(bloch)
-        row = [
-            fmt(config.lam * t), fmt(q),
-            *(fmt(v) for v in bloch.s), *(fmt(v) for v in bloch.t),
-            fmt(np.linalg.norm(bloch.s)), fmt(np.linalg.norm(bloch.t)),
-            *(fmt(v) for v in bloch.cross.reshape(-1)),
-            fmt(states.entanglement_degree(bloch)),
-            fmt(states.purity(bloch)),
-            fmt(states.negativity(rho)),
+        values = [
+            config.lam * times, np.full(times.shape, q), bloch.s, bloch.t,
+            np.sqrt(np.linalg.vecdot(bloch.s, bloch.s)),
+            np.sqrt(np.linalg.vecdot(bloch.t, bloch.t)),
+            bloch.cross.reshape(-1, 9), states.entanglement_degree(bloch),
+            states.purity(bloch), states.negativity(rho),
         ]
         if config.engine == "both":
-            row.append(fmt(states.max_deviation(
-                bloch, states.decompose(reduced))))
-        print(",".join(row), file=stream)
+            values.append(states.max_deviation(
+                bloch, states.decompose(reduced)))
+        for row in np.column_stack(values):
+            print(",".join(fmt(v) for v in row), file=stream)
     return 0
 
 
@@ -270,29 +274,32 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
           file=stream)
     columns = TELEPORT_COLUMNS + (("max_dev",) if config.engine == "both" else ())
     print(",".join(columns), file=stream)
-    for q, t, table, reduced in _sweep(config, field):
+    for q, times, table, reduced in _sweep(config, field):
         channel = (reduced if table is None
                    else states.compose(closedform.bloch_from_table(table)))
         outcomes = teleport.circuit_teleport(channel, unknown)
         f_avg = teleport.average_fidelity(outcomes, unknown)
         exact_outcomes = (teleport.circuit_teleport(reduced, unknown)
                           if config.engine == "both" else None)
+        branches = []
         for index, outcome in enumerate(outcomes):
             if outcome.outcome_label == "ee" and table is not None:
                 sb_weighted = teleport.closed_form_bob(unknown, table)
             else:
-                sb_weighted = 2.0 * outcome.probability * outcome.sb
-            row = [
-                fmt(config.lam * t), fmt(q), outcome.outcome_label,
-                fmt(outcome.probability),
-                fmt(teleport.fidelity_paper(su, sb_weighted)),
-                fmt(teleport.fidelity_overlap(unknown, outcome.bob_state)),
-                fmt(f_avg),
+                sb_weighted = 2.0 * outcome.probability[..., None] * outcome.sb
+            values = [
+                outcome.probability, teleport.fidelity_paper(su, sb_weighted),
+                teleport.fidelity_overlap(unknown, outcome.bob_state), f_avg,
             ]
             if exact_outcomes is not None:
-                row.append(fmt(float(np.max(np.abs(
-                    outcome.sb - exact_outcomes[index].sb)))))
-            print(",".join(row), file=stream)
+                values.append(np.max(np.abs(
+                    outcome.sb - exact_outcomes[index].sb), axis=-1))
+            branches.append(np.column_stack(values))
+        # Rows run time-major: the four branches of one time, then the next.
+        for t, per_time in zip(times, np.stack(branches, axis=1)):
+            for label, row in zip(teleport.OUTCOME_LABELS, per_time):
+                print(",".join([fmt(config.lam * t), fmt(q), label,
+                                *(fmt(v) for v in row)]), file=stream)
     return 0
 
 

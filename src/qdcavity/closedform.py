@@ -10,7 +10,8 @@ ground states |gg, n+2m> with too few photons to climb, and -m..-1 hold
 the three-level tail {|eg,n+m>, |ge,n+m>, |gg,n+2m>} missing its
 doubly-excited head.  Couplings to missing states are zero there, which
 keeps the same formulas valid and makes the table exhaust the whole
-truncated space (total weight 1 for any initial state).
+truncated space (total weight 1 for any initial state).  A 1-D array of
+times in place of one time puts a leading time axis on every result.
 """
 
 import functools
@@ -27,7 +28,6 @@ __all__ = [
     "AmplitudeQuadruple",
     "AmplitudeTable",
     "UnsupportedConfigurationError",
-    "amplitude_quadruple",
     "amplitude_table",
     "evolved_bloch",
     "initial_bloch",
@@ -72,35 +72,28 @@ class AmplitudeTable:
         self.m = m
         self.n_min = -2 * m
         self.n_top = n_top
-        self.c = c  # shape (4, n_top + 2m + 1), row i holds c^(i+1)
-
-    def _idx(self, n: int) -> int:
-        return n - self.n_min
+        self.c = c  # shape ([T,] 4, n_top + 2m + 1), row i holds c^(i+1)
 
     def quadruple(self, n: int) -> AmplitudeQuadruple:
         if not (self.n_min <= n <= self.n_top):
             raise IndexError(f"manifold index {n} outside table range")
-        i = self._idx(n)
-        return AmplitudeQuadruple(n, *(self.c[row, i] for row in range(4)))
+        i = n - self.n_min
+        return AmplitudeQuadruple(
+            n, *(self.c[..., row, i][()] for row in range(4)))
 
     def correlation(self, i: int, j: int, shift: int) -> complex:
         """sum_n c^(i)_n conj(c^(j)_{n-shift}) with shift >= 0."""
-        ci = self.c[i - 1]
-        cj = self.c[j - 1]
-        if shift == 0:
-            return complex(np.sum(ci * np.conj(cj)))
-        return complex(np.sum(ci[shift:] * np.conj(cj[:-shift])))
-
-    def population(self, i: int) -> float:
-        """sum_n |c^(i)_n|^2."""
-        ci = self.c[i - 1]
-        return float(np.sum(ci.real**2 + ci.imag**2))
+        ci = self.c[..., i - 1, shift:]
+        cj = self.c[..., j - 1, :ci.shape[-1]]
+        # Not `*`: from 256 KiB on, it may write into the conj temporary,
+        # which swaps the complex product's operands and changes a last bit.
+        return np.sum(np.multiply(ci, np.conj(cj)), axis=-1)
 
     @functools.cached_property
     def populations(self) -> tuple[float, float, float, float]:
-        """(n1, n2, n3, n4): the population of each amplitude row."""
-        return (self.population(1), self.population(2),
-                self.population(3), self.population(4))
+        """(n1, n2, n3, n4): sum_n |c^(i)_n|^2 for each amplitude row."""
+        rows = np.sum(self.c.real**2 + self.c.imag**2, axis=-1)
+        return tuple(np.moveaxis(rows, -1, 0))
 
     @functools.cached_property
     def correlations(self) -> tuple[complex, ...]:
@@ -118,7 +111,7 @@ class AmplitudeTable:
 
     @property
     def total_weight(self) -> float:
-        return float(np.sum(self.c.real**2 + self.c.imag**2))
+        return np.sum(self.c.real**2 + self.c.imag**2, axis=(-2, -1))
 
 
 def initial_bloch(atoms: AtomicInitialState) -> TwoQubitBlochState:
@@ -178,11 +171,12 @@ def _cached_couplings(n_lo: int, n_hi: int, m: int, lam: float,
     return nu1, nu2, mu
 
 
-def _amplitude_arrays(t: float, atoms: AtomicInitialState, field: FieldSpec,
+def _amplitude_arrays(t, atoms: AtomicInitialState, field: FieldSpec,
                       spec: HamiltonianSpec, n_values: np.ndarray) -> np.ndarray:
     a1, a2, a3, a4 = atoms.amplitudes
     m = spec.m
     w = field.weights
+    t = np.asarray(t, dtype=float)[..., None]  # ([T,] 1) against n_values
 
     def w_at(offsets: np.ndarray) -> np.ndarray:
         out = np.zeros(offsets.shape)
@@ -212,12 +206,12 @@ def _amplitude_arrays(t: float, atoms: AtomicInitialState, field: FieldSpec,
     c3 = w_nm * (a3 * cos_sq - a2 * sin_sq) - 1j * drive * half_rabi
     c4 = a4 * w_n2m - nu2 * drive * swap \
         - 1j * nu2 * (a2 + a3) * w_nm * half_rabi
-    return np.vstack([c1, c2, c3, c4])
+    return np.stack([c1, c2, c3, c4], axis=-2)
 
 
-def amplitude_table(t: float, atoms: AtomicInitialState, field: FieldSpec,
+def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
                     spec: HamiltonianSpec) -> AmplitudeTable:
-    """All manifold amplitudes at time t.
+    """All manifold amplitudes at time t, or at each time of a 1-D array.
 
     Valid only for equal couplings at zero detuning; anything else must
     go through the exact propagator.
@@ -234,22 +228,11 @@ def amplitude_table(t: float, atoms: AtomicInitialState, field: FieldSpec,
     return AmplitudeTable(m=m, n_top=n_top, c=c)
 
 
-def amplitude_quadruple(n: int, t: float, atoms: AtomicInitialState,
-                        field: FieldSpec,
-                        spec: HamiltonianSpec) -> AmplitudeQuadruple:
-    """Amplitudes of manifold n at time t (n may reach down to -2m for
-    the headless tail manifolds)."""
-    _require_closed_form(spec)
-    if n < -2 * spec.m:
-        raise ValueError(f"no manifold below index {-2 * spec.m}, got {n}")
-    c = _amplitude_arrays(t, atoms, field, spec, np.array([n]))
-    return AmplitudeQuadruple(n, *(c[row, 0] for row in range(4)))
-
-
-def evolved_bloch(t: float, atoms: AtomicInitialState, field: FieldSpec,
+def evolved_bloch(t, atoms: AtomicInitialState, field: FieldSpec,
                   spec: HamiltonianSpec) -> TwoQubitBlochState:
     """Bloch vectors and cross dyadic of the reduced two-atom state at
-    time t, assembled from shifted manifold-amplitude products."""
+    time t, or at each time of a 1-D array, assembled from shifted
+    manifold-amplitude products."""
     table = amplitude_table(t, atoms, field, spec)
     return bloch_from_table(table)
 
@@ -259,25 +242,25 @@ def bloch_from_table(table: AmplitudeTable) -> TwoQubitBlochState:
     n1, n2, n3, n4 = table.populations
     ee_ge, eg_gg, ee_eg, ge_gg, ee_gg, eg_ge = table.correlations
 
-    s = np.array([
+    s = np.stack([
         2.0 * (ee_ge + eg_gg).real,
         2.0 * (ee_ge + eg_gg).imag,
         n1 + n2 - n3 - n4,
-    ])
-    t_vec = np.array([
+    ], axis=-1)
+    t_vec = np.stack([
         2.0 * (ee_eg + ge_gg).real,
         2.0 * (ee_eg + ge_gg).imag,
         n1 - n2 + n3 - n4,
-    ])
-    cross = np.array([
-        [2.0 * (ee_gg + eg_ge).real,
-         2.0 * (ee_gg - eg_ge).imag,
-         2.0 * (ee_ge - eg_gg).real],
-        [2.0 * (ee_gg + eg_ge).imag,
-         2.0 * (eg_ge - ee_gg).real,
-         2.0 * (ee_ge - eg_gg).imag],
-        [2.0 * (ee_eg - ge_gg).real,
-         2.0 * (ee_eg - ge_gg).imag,
-         n1 - n2 - n3 + n4],
-    ])
+    ], axis=-1)
+    cross = np.stack([
+        2.0 * (ee_gg + eg_ge).real,
+        2.0 * (ee_gg - eg_ge).imag,
+        2.0 * (ee_ge - eg_gg).real,
+        2.0 * (ee_gg + eg_ge).imag,
+        2.0 * (eg_ge - ee_gg).real,
+        2.0 * (ee_ge - eg_gg).imag,
+        2.0 * (ee_eg - ge_gg).real,
+        2.0 * (ee_eg - ge_gg).imag,
+        n1 - n2 - n3 + n4,
+    ], axis=-1).reshape(s.shape[:-1] + (3, 3))
     return TwoQubitBlochState(s=s, t=t_vec, cross=cross)

@@ -6,6 +6,8 @@ exchanges, so the composite space splits into invariant manifolds
 Hermitian blocks as one stack per block size (1, 3 or 4), diagonalises
 each stack once and reuses the decomposition for every evolution time.
 Atomic basis order is ee, eg, ge, gg with the excited level first.
+Evolving to a 1-D array of times gives stacked states, density matrices
+and reductions, with the times on the leading axis.
 """
 
 import functools
@@ -133,7 +135,8 @@ class AtomicInitialState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Dense Hermitian unit-trace matrix with physicality validators."""
+    """Dense Hermitian unit-trace matrix (or a stack of them) with
+    physicality validators; one warning per non-positive matrix."""
 
     matrix: np.ndarray
     warnings: tuple[str, ...] = ()
@@ -144,7 +147,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @classmethod
     def from_matrix(cls, matrix, *, positivity: str = "raise") -> "DensityMatrix":
@@ -154,22 +157,19 @@ class DensityMatrix:
         truncation-dust floor; "warn" records them in the result instead.
         """
         rho = np.asarray(matrix, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
             raise PhysicalityError(f"expected a square matrix, got {rho.shape}")
-        herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
+        herm_dev = float(np.max(np.abs(rho - rho.conj().mT)))
         if herm_dev > _HERMITICITY_TOL:
             raise PhysicalityError(f"matrix not Hermitian, deviation {herm_dev:.3e}")
-        trace_dev = abs(complex(np.trace(rho)) - 1.0)
+        trace_dev = float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)))
         if trace_dev > _TRACE_TOL:
             raise PhysicalityError(f"trace deviates from 1 by {trace_dev:.3e}")
-        min_eig = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)))
-        warnings: tuple[str, ...] = ()
-        if min_eig < _EIGENVALUE_FLOOR:
-            message = f"negative eigenvalue {min_eig:.3e} below floor"
-            if positivity == "warn":
-                warnings = (message,)
-            else:
-                raise PhysicalityError(message)
+        min_eig = np.ravel(np.linalg.eigvalsh((rho + rho.conj().mT) / 2.0)[..., 0])
+        warnings = tuple(f"negative eigenvalue {value:.3e} below floor"
+                         for value in min_eig[min_eig < _EIGENVALUE_FLOOR])
+        if warnings and positivity != "warn":
+            raise PhysicalityError(warnings[0])
         return cls(matrix=rho, warnings=warnings)
 
 
@@ -180,7 +180,8 @@ def as_matrix(rho) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompositeState:
-    """Amplitudes over (atomic level) x (Fock number), unit norm."""
+    """Amplitudes over (atomic level) x (Fock number), unit norm, with
+    any leading stack axes."""
 
     cutoff: int
     amplitudes: np.ndarray
@@ -188,13 +189,13 @@ class CompositeState:
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amp)
-        if amp.shape != (4, self.cutoff + 1):
+        if amp.shape[-2:] != (4, self.cutoff + 1):
             raise ValueError(
-                f"expected shape (4, {self.cutoff + 1}), got {amp.shape}"
+                f"expected shape (..., 4, {self.cutoff + 1}), got {amp.shape}"
             )
-        norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"composite state norm {norm!r} is not 1")
+        norm_dev = np.max(np.abs(np.linalg.norm(amp, axis=(-2, -1)) - 1.0))
+        if norm_dev > _NORM_TOL:
+            raise ValueError(f"composite state norm off 1 by {norm_dev:.3e}")
 
 
 def deformed_lowering_power(cutoff: int, m: int, q) -> np.ndarray:
@@ -279,19 +280,22 @@ class Propagator:
                 hamiltonian[flat[:, :, None], flat[:, None, :]])
             self._stacks.append((flat, eigvals, eigvecs))
 
-    def evolve(self, state: CompositeState, t: float) -> CompositeState:
-        """psi(t) = exp(-i H t) psi(0), one stack of blocks at a time."""
-        if t < 0:
+    def evolve(self, state: CompositeState, t) -> CompositeState:
+        """psi(t) = exp(-i H t) psi(0), one stack of blocks at a time, at
+        one time t or at each time of a 1-D array (a stack of states)."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
             raise ValueError("evolution time must be nonnegative")
         if state.cutoff != self.cutoff:
             raise ConfigurationError("state cutoff does not match propagator")
-        amps = state.amplitudes.reshape(-1).copy()
+        psi0 = state.amplitudes.reshape(4 * (self.cutoff + 1))
+        amps = np.empty(t.shape + psi0.shape, dtype=complex)
         for flat, eigvals, eigvecs in self._stacks:
-            sub = amps[flat][:, :, None]
-            phases = np.exp(-1j * eigvals * t)[:, :, None]
-            amps[flat] = (eigvecs @ (
-                phases * (eigvecs.conj().transpose(0, 2, 1) @ sub)))[:, :, 0]
-        return CompositeState(self.cutoff, amps.reshape(4, self.cutoff + 1))
+            # V^H psi0 once, (B, k, 1); phases per time, ([T,] B, k, 1).
+            coefficients = eigvecs.conj().mT @ psi0[flat][:, :, None]
+            phases = np.exp(-1j * eigvals * t[..., None, None])[..., None]
+            amps[..., flat] = (eigvecs @ (phases * coefficients))[..., 0]
+        return CompositeState(self.cutoff, amps.reshape(t.shape + (4, -1)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -320,5 +324,5 @@ def initial_composite_state(atoms: AtomicInitialState,
 def reduced_atomic_state(state: CompositeState) -> DensityMatrix:
     """Trace out the field: rho_a[k, l] = sum_n psi[k, n] psi*[l, n]."""
     psi = state.amplitudes
-    rho = psi @ psi.conj().T
+    rho = psi @ psi.conj().mT
     return DensityMatrix.from_matrix(rho)

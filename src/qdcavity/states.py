@@ -6,6 +6,7 @@ mirror image of the more common sign.  All Bloch components, dyadic
 elements and teleportation formulas in this package follow that
 convention consistently; rotation-invariant quantities (purity, the
 entanglement degree, fidelities, negativity) are unaffected by it.
+Every function also takes a stack of states (leading axes) at once.
 """
 
 from dataclasses import dataclass
@@ -39,13 +40,13 @@ _ID2 = np.eye(2, dtype=complex)
 # Operator tables for the linear (de)composition maps.
 _FIRST_OPS = [np.kron(p, _ID2) for p in _PAULIS]
 _SECOND_OPS = [np.kron(_ID2, p) for p in _PAULIS]
-_CROSS_OPS = [[np.kron(pi, pj) for pj in _PAULIS] for pi in _PAULIS]
+_CROSS_OPS = [np.kron(pi, pj) for pi in _PAULIS for pj in _PAULIS]
 
 
 @dataclass(frozen=True)
 class TwoQubitBlochState:
     """Bloch vectors s (first atom), t (second atom) and the 3x3 cross
-    dyadic of joint Pauli correlations."""
+    dyadic of joint Pauli correlations, with any leading stack axes."""
 
     s: np.ndarray
     t: np.ndarray
@@ -55,7 +56,7 @@ class TwoQubitBlochState:
         s = np.asarray(self.s, dtype=float)
         t = np.asarray(self.t, dtype=float)
         cross = np.asarray(self.cross, dtype=float)
-        if s.shape != (3,) or t.shape != (3,) or cross.shape != (3, 3):
+        if s.shape[-1:] != (3,) or t.shape != s.shape or cross.shape != s.shape + (3,):
             raise ValueError("expected two 3-vectors and one 3x3 matrix")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
@@ -79,17 +80,15 @@ def decompose(rho) -> TwoQubitBlochState:
     s_i = tr(rho sigma_i x 1), t_i = tr(rho 1 x tau_i),
     C_ij = tr(rho sigma_i x tau_j)."""
     mat = as_matrix(rho)
-    if mat.shape != (4, 4):
+    if mat.shape[-2:] != (4, 4):
         raise PhysicalityError(f"expected a 4x4 matrix, got {mat.shape}")
     if not isinstance(rho, DensityMatrix):
         DensityMatrix.from_matrix(mat, positivity="warn")
-    s = np.array([np.trace(mat @ op).real for op in _FIRST_OPS])
-    t = np.array([np.trace(mat @ op).real for op in _SECOND_OPS])
-    cross = np.array(
-        [[np.trace(mat @ _CROSS_OPS[i][j]).real for j in range(3)]
-         for i in range(3)]
-    )
-    return TwoQubitBlochState(s=s, t=t, cross=cross)
+    values = np.stack([np.trace(mat @ op, axis1=-2, axis2=-1).real
+                       for op in _FIRST_OPS + _SECOND_OPS + _CROSS_OPS], axis=-1)
+    return TwoQubitBlochState(
+        s=values[..., :3], t=values[..., 3:6],
+        cross=values[..., 6:].reshape(mat.shape[:-2] + (3, 3)))
 
 
 def compose(state: TwoQubitBlochState) -> DensityMatrix:
@@ -101,24 +100,26 @@ def compose(state: TwoQubitBlochState) -> DensityMatrix:
     """
     rho = np.eye(4, dtype=complex)
     for i in range(3):
-        rho = rho + state.s[i] * _FIRST_OPS[i] + state.t[i] * _SECOND_OPS[i]
+        rho = rho + state.s[..., i, None, None] * _FIRST_OPS[i] \
+            + state.t[..., i, None, None] * _SECOND_OPS[i]
         for j in range(3):
-            rho = rho + state.cross[i, j] * _CROSS_OPS[i][j]
+            rho = rho + state.cross[..., i, j, None, None] * _CROSS_OPS[3 * i + j]
     return DensityMatrix.from_matrix(rho / 4.0, positivity="warn")
 
 
 def purity(state: TwoQubitBlochState) -> float:
     """tr(rho^2) = (1 + |s|^2 + |t|^2 + ||C||_F^2)/4, in [1/4, 1]."""
-    return (1.0 + float(state.s @ state.s) + float(state.t @ state.t)
-            + float(np.sum(state.cross * state.cross))) / 4.0
+    return (1.0 + np.linalg.vecdot(state.s, state.s)
+            + np.linalg.vecdot(state.t, state.t)
+            + np.sum(state.cross * state.cross, axis=(-2, -1))) / 4.0
 
 
 def max_deviation(a: TwoQubitBlochState, b: TwoQubitBlochState) -> float:
     """Largest component difference between two Bloch representations,
     over s, t and the cross dyadic."""
-    return max(float(np.max(np.abs(a.s - b.s))),
-               float(np.max(np.abs(a.t - b.t))),
-               float(np.max(np.abs(a.cross - b.cross))))
+    return np.maximum.reduce([np.max(np.abs(a.s - b.s), axis=-1),
+                              np.max(np.abs(a.t - b.t), axis=-1),
+                              np.max(np.abs(a.cross - b.cross), axis=(-2, -1))])
 
 
 def entanglement_degree(state: TwoQubitBlochState) -> float:
@@ -129,8 +130,8 @@ def entanglement_degree(state: TwoQubitBlochState) -> float:
     Bloch vectors, which for classically correlated mixtures is not the
     same as entanglement; see negativity() for a standard cross-check.
     """
-    excess = state.cross - np.outer(state.s, state.t)
-    return float(np.sum(excess * excess))
+    excess = state.cross - state.s[..., :, None] * state.t[..., None, :]
+    return np.sum(excess * excess, axis=(-2, -1))
 
 
 def werner_parameters(state: TwoQubitBlochState,
@@ -163,17 +164,18 @@ def negativity(rho) -> float:
     entanglement-dyadic measure; it is emitted alongside it as an
     independent sanity channel."""
     mat = as_matrix(rho)
-    if mat.shape != (4, 4):
+    if mat.shape[-2:] != (4, 4):
         raise PhysicalityError(f"expected a 4x4 matrix, got {mat.shape}")
-    tensor = mat.reshape(2, 2, 2, 2)
-    partial = tensor.transpose(0, 3, 2, 1).reshape(4, 4)
-    eigvals = np.linalg.eigvalsh((partial + partial.conj().T) / 2.0)
-    return float(-np.sum(eigvals[eigvals < 0.0]))
+    tensor = mat.reshape(mat.shape[:-2] + (2, 2, 2, 2))
+    partial = np.swapaxes(tensor, -3, -1).reshape(mat.shape)
+    eigvals = np.linalg.eigvalsh((partial + partial.conj().mT) / 2.0)
+    return -np.sum(np.minimum(eigvals, 0.0), axis=-1)
 
 
 def bloch_vector(rho) -> np.ndarray:
     """Single-qubit Bloch vector (same y-axis convention as above)."""
     mat = as_matrix(rho)
-    if mat.shape != (2, 2):
+    if mat.shape[-2:] != (2, 2):
         raise PhysicalityError(f"expected a 2x2 matrix, got {mat.shape}")
-    return np.array([np.trace(mat @ p).real for p in _PAULIS])
+    return np.stack([np.trace(mat @ p, axis1=-2, axis2=-1).real
+                     for p in _PAULIS], axis=-1)

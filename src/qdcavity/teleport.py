@@ -6,7 +6,8 @@ conditional Pauli correction) and a closed-form expression for Bob's
 Bloch vector on the ee branch built directly from the manifold
 amplitudes of the channel.  The closed form tracks the branch operator
 scaled by twice its probability; which scaling reproduces the circuit is
-established by compare_bob_conventions rather than assumed.
+established by compare_bob_conventions rather than assumed.  A stack of
+channels runs through at once, adding its leading axes to every result.
 """
 
 from dataclasses import dataclass
@@ -96,11 +97,12 @@ class TeleportOutcome:
     sb: np.ndarray
 
 
-def _cnot_control_first() -> np.ndarray:
-    gate = np.zeros((4, 4), dtype=complex)
-    gate[0, 0] = gate[1, 1] = 1.0  # control |e> (bit 0) leaves target alone
-    gate[2, 3] = gate[3, 2] = 1.0  # control |g> flips the target
-    return gate
+# CNOT with u as control and A as target, then Hadamard on u, on (u, A, B).
+# Control |e> (bit 0) leaves the target alone, so |e> is the CNOT-inactive
+# control value, matching the correction table; control |g> flips it.
+_CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+_UNITARY = np.kron(np.kron(_HADAMARD, np.eye(2)), np.eye(2)) \
+    @ np.kron(_CNOT, np.eye(2, dtype=complex))
 
 
 def circuit_teleport(channel, unknown: UnknownQubit) -> list[TeleportOutcome]:
@@ -111,28 +113,22 @@ def circuit_teleport(channel, unknown: UnknownQubit) -> list[TeleportOutcome]:
     normalised.  A branch of zero probability carries the maximally
     mixed state."""
     rho_chan = as_matrix(channel)
-    if rho_chan.shape != (4, 4):
+    if rho_chan.shape[-2:] != (4, 4):
         raise PhysicalityError(f"channel must be 4x4, got {rho_chan.shape}")
     if not isinstance(channel, DensityMatrix):
         DensityMatrix.from_matrix(rho_chan)
 
-    # |e> is the CNOT-inactive control value, matching the correction
-    # table above.
-    cnot = _cnot_control_first()
-    unitary = np.kron(np.kron(_HADAMARD, np.eye(2)), np.eye(2)) \
-        @ np.kron(cnot, np.eye(2, dtype=complex))
-    rho = unitary @ np.kron(unknown.density, rho_chan) @ unitary.conj().T
+    rho = _UNITARY @ np.kron(unknown.density, rho_chan) @ _UNITARY.conj().T
 
     outcomes = []
     for index, label in enumerate(OUTCOME_LABELS):
-        rows = [2 * index, 2 * index + 1]
-        block = rho[np.ix_(rows, rows)]
-        probability = float(np.trace(block).real)
-        if probability > 1e-14:
-            bob = block / probability
-        else:
-            probability = max(probability, 0.0)
-            bob = np.eye(2, dtype=complex) / 2.0
+        block = rho[..., 2 * index:2 * index + 2, 2 * index:2 * index + 2]
+        probability = np.trace(block, axis1=-2, axis2=-1).real
+        weight = probability[..., None, None]
+        occupied = weight > 1e-14
+        bob = np.where(occupied, block / np.where(occupied, weight, 1.0),
+                       np.eye(2, dtype=complex) / 2.0)
+        probability = np.maximum(probability, 0.0)
         correction = _CORRECTIONS[label]
         bob = correction @ bob @ correction.conj().T
         bob_state = DensityMatrix.from_matrix(bob, positivity="warn")
@@ -168,28 +164,29 @@ def closed_form_bob(unknown: UnknownQubit, table: AmplitudeTable) -> np.ndarray:
         + 2.0 * (ab * (ge_eg - gg_ee)).imag
     sz = aa * (n3 - n4) + bb * (n1 - n2) \
         + 2.0 * (np.conj(ab) * (ee_ge - eg_gg)).real
-    return np.array([sx, sy, sz])
+    return np.stack([sx, sy, sz], axis=-1)
 
 
 def fidelity_paper(su, sb) -> float:
     """Quarter-normalised overlap score (1 + su . sb)/4.  With this
     normalisation a perfectly teleported pure state scores 0.5."""
-    return (1.0 + float(np.dot(np.asarray(su, dtype=float),
-                               np.asarray(sb, dtype=float)))) / 4.0
+    return (1.0 + np.linalg.vecdot(np.asarray(su, dtype=float),
+                                   np.asarray(sb, dtype=float))) / 4.0
 
 
 def fidelity_overlap(unknown: UnknownQubit, bob_state) -> float:
     """Standard state overlap <psi_u| rho_B |psi_u> in [0, 1]."""
     rho = as_matrix(bob_state)
-    ket = np.array([unknown.alpha, unknown.beta], dtype=complex)
-    return float((ket.conj() @ rho @ ket).real)
+    ket = np.array([[unknown.alpha], [unknown.beta]], dtype=complex)
+    # Row @ rho @ column: unlike vector operands, bit-identical on a stack.
+    return (ket.conj().T @ rho @ ket).real[..., 0, 0][()]
 
 
 def average_fidelity(outcomes: list[TeleportOutcome],
                      unknown: UnknownQubit) -> float:
     """Probability-weighted overlap fidelity across the four branches."""
-    return float(sum(o.probability * fidelity_overlap(unknown, o.bob_state)
-                     for o in outcomes))
+    return sum(o.probability * fidelity_overlap(unknown, o.bob_state)
+               for o in outcomes)
 
 
 def compare_bob_conventions(unknown: UnknownQubit, table: AmplitudeTable,
@@ -202,7 +199,7 @@ def compare_bob_conventions(unknown: UnknownQubit, table: AmplitudeTable,
     branch = outcomes[0]
     analytic = closed_form_bob(unknown, table)
     dev_normalized = float(np.max(np.abs(analytic - branch.sb)))
-    carried = 2.0 * branch.probability * branch.sb
+    carried = 2.0 * branch.probability[..., None] * branch.sb
     dev_unnormalized = float(np.max(np.abs(analytic - carried)))
     return {
         "normalized": dev_normalized,

@@ -1,7 +1,9 @@
 import io
 
+import numpy as np
 import pytest
 
+from qdcavity import algebra
 from qdcavity.cli import (
     SweepConfig,
     cmd_simulate,
@@ -218,3 +220,52 @@ class TestValidateCommand:
         assert "8/8 checks passed" in out
         assert "FAIL" not in out
         assert "INFO entanglement-minimum" in out
+
+
+class TestTimeChunks:
+    # --nbar 10 gives cutoff 59: 60 (time, Fock level) cells per time.
+    SWEEPS = (
+        ["simulate", "--engine", "both", "--q", "0.5", "--q", "0.9",
+         "--nbar", "10", "--steps", "23"],
+        ["teleport", "--engine", "both", "--q", "0.5", "--q", "0.9",
+         "--nbar", "10", "--steps", "23", "--alpha", "0.6", "--beta", "0.8i"],
+    )
+
+    @pytest.mark.parametrize("argv", SWEEPS, ids=["simulate", "teleport"])
+    def test_bytes_do_not_depend_on_chunking(self, argv, capsys, monkeypatch):
+        outputs = {}
+        # 1-row chunks, 7-row chunks (23 = 7 + 7 + 7 + 2), one chunk.
+        for cells in (1, 7 * 60, 23 * 60):
+            monkeypatch.setattr(algebra, "CHUNK_CELLS", cells)
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            outputs[cells] = out
+        assert outputs[1] == outputs[7 * 60] == outputs[23 * 60]
+        _, rows = csv_rows(outputs[1])
+        per_time = 4 if argv[0] == "teleport" else 1
+        assert len(rows) == 2 * 23 * per_time
+
+    def test_chunks_cover_the_grid_once(self, monkeypatch):
+        monkeypatch.setattr(algebra, "CHUNK_CELLS", 7 * 60)
+        times = np.linspace(0.0, 1.0, 23)
+        chunks = algebra.time_chunks(times, 59)
+        assert [len(c) for c in chunks] == [7, 7, 7, 2]
+        assert np.array_equal(np.concatenate(chunks), times)
+        monkeypatch.setattr(algebra, "CHUNK_CELLS", 10)
+        assert [len(c) for c in algebra.time_chunks(times, 59)] == [1] * 23
+
+
+class TestBadConfigWritesNothing:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--q", "0.5", "--q", "2", "--steps", "3"],
+        ["simulate", "--nbar", "-1"],
+        ["simulate", "--m", "0"],
+        ["teleport", "--alpha", "1", "--beta", "1"],
+    ], ids=["q-out-of-range", "negative-nbar", "zero-m", "unnormalised-input"])
+    def test_no_output_and_no_file(self, argv, tmp_path, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and err.startswith("error:")
+        path = tmp_path / "out.csv"
+        code, out, _ = run_cli(argv + ["--out", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert not path.exists()

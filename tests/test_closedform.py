@@ -8,7 +8,6 @@ from qdcavity import (
     HamiltonianSpec,
     Propagator,
     UnsupportedConfigurationError,
-    amplitude_quadruple,
     amplitude_table,
     choose_cutoff,
     coherent_weights,
@@ -74,8 +73,9 @@ class TestAmplitudeQuadruple:
     def test_initial_values(self):
         field, spec = standard_config()
         atoms = AtomicInitialState.normalized(0.8, 0.4, 0.3, 0.2)
+        table = amplitude_table(0.0, atoms, field, spec)
         for n in (0, 3, 10):
-            quad = amplitude_quadruple(n, 0.0, atoms, field, spec)
+            quad = table.quadruple(n)
             assert quad.c1 == pytest.approx(atoms.a1 * field.amplitude(n))
             assert quad.c2 == pytest.approx(atoms.a2 * field.amplitude(n + 1))
             assert quad.c3 == pytest.approx(atoms.a3 * field.amplitude(n + 1))
@@ -85,21 +85,22 @@ class TestAmplitudeQuadruple:
         field = coherent_weights(0.0, 2)
         spec = HamiltonianSpec.resonant(1.0, m=1, q=1.0)
         for t in np.linspace(0.0, 12.0, 97):
-            quad = amplitude_quadruple(0, t, excited_pair(), field, spec)
+            quad = amplitude_table(t, excited_pair(), field, spec).quadruple(0)
             law = 1.0 - (2.0 / 3.0) * math.sin(math.sqrt(1.5) * t) ** 2
             assert abs(quad.c1 - law) < 1e-12
             assert quad.weight == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_index_below_tail(self):
         field, spec = standard_config(m=2)
-        with pytest.raises(ValueError):
-            amplitude_quadruple(-5, 1.0, excited_pair(), field, spec)
+        table = amplitude_table(1.0, excited_pair(), field, spec)
+        with pytest.raises(IndexError):
+            table.quadruple(-5)
 
     def test_rejects_asymmetric_couplings(self):
         field, _ = standard_config()
         lopsided = HamiltonianSpec(1.0, 1.2, 1, 0.9)
         with pytest.raises(UnsupportedConfigurationError, match="exact"):
-            amplitude_quadruple(0, 1.0, excited_pair(), field, lopsided)
+            amplitude_table(1.0, excited_pair(), field, lopsided).quadruple(0)
 
     def test_rejects_detuning(self):
         field, _ = standard_config()

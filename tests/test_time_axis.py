@@ -1,0 +1,246 @@
+"""Time is an array axis: a stack of times runs through every layer in
+one call.  Each stacked result must equal, bit for bit, the same call made
+on each time alone, which is the per-point path the sweeps used to take.
+"""
+
+import numpy as np
+import pytest
+
+from qdcavity import (
+    AtomicInitialState,
+    CompositeState,
+    DensityMatrix,
+    HamiltonianSpec,
+    Propagator,
+    TwoQubitBlochState,
+    UnknownQubit,
+    amplitude_table,
+    average_fidelity,
+    bloch_from_table,
+    bloch_vector,
+    choose_cutoff,
+    circuit_teleport,
+    closed_form_bob,
+    coherent_weights,
+    compose,
+    decompose,
+    entanglement_degree,
+    evolved_bloch,
+    fidelity_overlap,
+    fidelity_paper,
+    initial_composite_state,
+    negativity,
+    purity,
+    reduced_atomic_state,
+)
+from qdcavity.states import max_deviation
+from conftest import random_density, random_ket
+
+REAL_KET = UnknownQubit(alpha=1.0 / np.sqrt(2.0), beta=1.0 / np.sqrt(2.0))
+
+
+def assert_per_point(stacked, singles):
+    """stacked[k] equals singles[k] exactly, for every k."""
+    assert len(stacked) == len(singles)
+    for item, single in zip(stacked, singles):
+        assert np.array_equal(item, single)
+
+
+def assert_bloch_per_point(stacked, singles):
+    for name in ("s", "t", "cross"):
+        assert_per_point(getattr(stacked, name),
+                         [getattr(single, name) for single in singles])
+
+
+def item(state: TwoQubitBlochState, k: int) -> TwoQubitBlochState:
+    return TwoQubitBlochState(s=state.s[k], t=state.t[k], cross=state.cross[k])
+
+
+def random_atoms(rng):
+    return AtomicInitialState(*random_ket(rng, 4))
+
+
+@pytest.fixture(params=[(10.0, 59, 201), (400.0, 627, 41)],
+                ids=["cutoff59", "cutoff627"])
+def closed_sweep(request, rng):
+    """(times, atoms, field, spec) on the two benchmark cutoffs, with more
+    than 256 KiB of (time, manifold) cells in each stack."""
+    nbar, cutoff, steps = request.param
+    field = coherent_weights(nbar, choose_cutoff(nbar, 1))
+    assert field.cutoff == cutoff
+    times = np.linspace(0.0, 10.0, steps)
+    return times, random_atoms(rng), field, HamiltonianSpec.resonant(1.0, q=0.9)
+
+
+class TestClosedForm:
+    def test_amplitude_table_and_reductions(self, closed_sweep):
+        times, atoms, field, spec = closed_sweep
+        table = amplitude_table(times, atoms, field, spec)
+        singles = [amplitude_table(t, atoms, field, spec) for t in times]
+        assert table.c.shape == (len(times),) + singles[0].c.shape
+        assert_per_point(table.c, [s.c for s in singles])
+        for index in range(4):
+            assert_per_point(table.populations[index],
+                             [s.populations[index] for s in singles])
+        for index in range(6):
+            assert_per_point(table.correlations[index],
+                             [s.correlations[index] for s in singles])
+        assert_per_point(table.total_weight, [s.total_weight for s in singles])
+        assert_bloch_per_point(bloch_from_table(table),
+                               [bloch_from_table(s) for s in singles])
+
+    def test_evolved_bloch(self, closed_sweep):
+        times, atoms, field, spec = closed_sweep
+        assert_bloch_per_point(
+            evolved_bloch(times, atoms, field, spec),
+            [evolved_bloch(t, atoms, field, spec) for t in times])
+
+    def test_scalar_time_keeps_unstacked_shapes(self, closed_sweep):
+        _, atoms, field, spec = closed_sweep
+        table = amplitude_table(1.5, atoms, field, spec)
+        assert table.c.shape == (4, field.cutoff + 1)
+        assert isinstance(table.total_weight, float)
+        assert all(isinstance(c, complex) for c in table.correlations)
+        bloch = evolved_bloch(1.5, atoms, field, spec)
+        assert (bloch.s.shape, bloch.t.shape, bloch.cross.shape) == \
+            ((3,), (3,), (3, 3))
+
+
+class TestStates:
+    def test_state_layers(self, closed_sweep):
+        times, atoms, field, spec = closed_sweep
+        bloch = evolved_bloch(times, atoms, field, spec)
+        singles = [item(bloch, k) for k in range(len(times))]
+        rho = compose(bloch)
+        single_rhos = [compose(s) for s in singles]
+        assert_per_point(rho.matrix, [r.matrix for r in single_rhos])
+        assert rho.warnings == tuple(w for r in single_rhos for w in r.warnings)
+        assert_bloch_per_point(decompose(rho), [decompose(r) for r in single_rhos])
+        assert_bloch_per_point(decompose(rho.matrix),
+                               [decompose(r.matrix) for r in single_rhos])
+        assert_per_point(negativity(rho), [negativity(r) for r in single_rhos])
+        assert_per_point(purity(bloch), [purity(s) for s in singles])
+        assert_per_point(entanglement_degree(bloch),
+                         [entanglement_degree(s) for s in singles])
+        shifted = item(bloch, 0)
+        assert_per_point(max_deviation(bloch, shifted),
+                         [max_deviation(s, shifted) for s in singles])
+
+    def test_scalar_results_are_not_arrays(self, closed_sweep):
+        _, atoms, field, spec = closed_sweep
+        bloch = evolved_bloch(2.0, atoms, field, spec)
+        rho = compose(bloch)
+        for value in (purity(bloch), entanglement_degree(bloch),
+                      negativity(rho), max_deviation(bloch, bloch)):
+            assert isinstance(value, float) and not isinstance(value, np.ndarray)
+
+    def test_bloch_vector_and_from_matrix(self, rng):
+        mats = np.array([random_density(rng, 2) for _ in range(30)])
+        assert_per_point(bloch_vector(mats), [bloch_vector(m) for m in mats])
+        stacked = DensityMatrix.from_matrix(mats)
+        assert stacked.dim == 2 and stacked.warnings == ()
+        assert_per_point(stacked.matrix,
+                         [DensityMatrix.from_matrix(m).matrix for m in mats])
+
+    def test_from_matrix_reports_each_negative_matrix(self):
+        bad = np.diag([1.2, -0.2]).astype(complex)
+        good = np.eye(2, dtype=complex) / 2.0
+        stacked = DensityMatrix.from_matrix(np.array([good, bad, good, bad]),
+                                            positivity="warn")
+        single = DensityMatrix.from_matrix(bad, positivity="warn")
+        assert stacked.warnings == single.warnings * 2
+
+
+SPECS = {
+    "resonant": {},
+    "detuned": {"detuning": 0.8, "field_freq": 5.0},
+    "unequal": {"lambda1": 1.3, "lambda2": 0.7},
+}
+
+
+@pytest.mark.parametrize("m,kind,nbar", [
+    *((m, kind, 10.0) for m in (1, 2, 3) for kind in SPECS),
+    (1, "detuned", 400.0),
+])
+def test_exact_layers(m, kind, nbar, rng):
+    spec = HamiltonianSpec(**{"lambda1": 1.0, "lambda2": 1.0, "m": m,
+                              "q": 0.8, **SPECS[kind]})
+    field = coherent_weights(nbar, choose_cutoff(nbar, m))
+    initial = initial_composite_state(random_atoms(rng), field)
+    prop = Propagator(spec, field.cutoff)
+    times = np.linspace(0.0, 20.0, 41)
+    evolved = prop.evolve(initial, times)
+    singles = [prop.evolve(initial, t) for t in times]
+    assert evolved.amplitudes.shape == (len(times), 4, field.cutoff + 1)
+    assert_per_point(evolved.amplitudes, [s.amplitudes for s in singles])
+    assert_per_point(CompositeState(field.cutoff, evolved.amplitudes).amplitudes,
+                     [s.amplitudes for s in singles])
+    reduced = reduced_atomic_state(evolved)
+    assert_per_point(reduced.matrix,
+                     [reduced_atomic_state(s).matrix for s in singles])
+    assert_bloch_per_point(decompose(reduced),
+                           [decompose(reduced_atomic_state(s)) for s in singles])
+
+
+def test_exact_rejects_a_negative_time_in_a_stack():
+    field = coherent_weights(10.0, choose_cutoff(10.0, 1))
+    initial = initial_composite_state(AtomicInitialState(1, 0, 0, 0), field)
+    prop = Propagator(HamiltonianSpec.resonant(1.0, q=0.8), field.cutoff)
+    with pytest.raises(ValueError):
+        prop.evolve(initial, np.array([0.0, -1.0]))
+
+
+class TestTeleport:
+    @pytest.mark.parametrize("unknown", [
+        REAL_KET, UnknownQubit(alpha=0.6, beta=0.8j)], ids=["real", "complex"])
+    def test_teleport_layers(self, closed_sweep, unknown):
+        times, atoms, field, spec = closed_sweep
+        table = amplitude_table(times, atoms, field, spec)
+        channel = compose(bloch_from_table(table))
+        outcomes = circuit_teleport(channel, unknown)
+        single_tables = [amplitude_table(t, atoms, field, spec) for t in times]
+        single_outcomes = [
+            circuit_teleport(compose(bloch_from_table(s)), unknown)
+            for s in single_tables]
+        for index, outcome in enumerate(outcomes):
+            branch = [o[index] for o in single_outcomes]
+            assert outcome.outcome_label == branch[0].outcome_label
+            assert_per_point(outcome.probability, [b.probability for b in branch])
+            assert_per_point(outcome.bob_state.matrix,
+                             [b.bob_state.matrix for b in branch])
+            assert_per_point(outcome.sb, [b.sb for b in branch])
+            assert_per_point(fidelity_overlap(unknown, outcome.bob_state),
+                             [fidelity_overlap(unknown, b.bob_state)
+                              for b in branch])
+            weighted = 2.0 * outcome.probability[:, None] * outcome.sb
+            assert_per_point(fidelity_paper(unknown.su, weighted),
+                             [fidelity_paper(unknown.su, w) for w in weighted])
+        assert_per_point(average_fidelity(outcomes, unknown),
+                         [average_fidelity(o, unknown) for o in single_outcomes])
+        assert_per_point(closed_form_bob(unknown, table),
+                         [closed_form_bob(unknown, s) for s in single_tables])
+
+    def test_zero_probability_branch_is_mixed(self, rng):
+        # The excited product channel never yields the gg branch for an
+        # input on |e>: that branch carries the maximally mixed state.
+        ee = np.zeros((4, 4), dtype=complex)
+        ee[0, 0] = 1.0
+        channels = np.array([random_density(rng, 4), ee, random_density(rng, 4)])
+        unknown = UnknownQubit(alpha=1.0, beta=0.0)
+        stacked = circuit_teleport(channels, unknown)
+        for index, outcome in enumerate(stacked):
+            singles = [circuit_teleport(c, unknown)[index] for c in channels]
+            assert_per_point(outcome.probability, [s.probability for s in singles])
+            assert_per_point(outcome.bob_state.matrix,
+                             [s.bob_state.matrix for s in singles])
+        assert stacked[3].probability[1] == 0.0
+        assert np.array_equal(stacked[3].bob_state.matrix[1], np.eye(2) / 2.0)
+
+    def test_scalar_channel_keeps_unstacked_types(self, rng):
+        outcomes = circuit_teleport(random_density(rng, 4), REAL_KET)
+        for outcome in outcomes:
+            assert isinstance(outcome.probability, float)
+            assert outcome.sb.shape == (3,)
+            value = fidelity_overlap(REAL_KET, outcome.bob_state)
+            assert isinstance(value, float) and not isinstance(value, np.ndarray)
+        assert isinstance(average_fidelity(outcomes, REAL_KET), float)
