@@ -1,5 +1,5 @@
 """Golden SHA-256 hashes of the six figure presets, each run with
-`--engine closed` and with `--engine both`.
+`--engine closed` and with `--engine both`, and of the `validate` report.
 
 Every refactor or performance change must keep these bytes identical.
 A version bump (the provenance header carries the version) or a
@@ -28,6 +28,8 @@ GOLDEN = {
     ("3b", "both"): "5c4b7f11788cd64fdf8403e57165322872b0c2cd0642d7b3023979cca71465d1",
 }
 
+VALIDATE_GOLDEN = "c6578bcf99a2834302436330f499d49f51b3d4ec0116fd12ddcd05fee6e437d9"
+
 
 @pytest.mark.parametrize("fig,engine", sorted(GOLDEN),
                          ids=[f"{f}-{e}" for f, e in sorted(GOLDEN)])
@@ -38,3 +40,9 @@ def test_preset_bytes_match_golden_hash(fig, engine, tmp_path):
                      "--out", str(path)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN[(fig, engine)]
+
+
+def test_validate_report_matches_golden_hash(capsys):
+    assert cli.main(["validate"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VALIDATE_GOLDEN
