@@ -10,12 +10,11 @@ __version__ = "0.1.0"
 from .algebra import (
     DeformationParameter,
     FieldSpec,
-    LadderCouplings,
     TruncationError,
     choose_cutoff,
+    coherent_field,
     coherent_weights,
-    deformation_factor,
-    ladder_couplings,
+    ladder_elements,
     q_factorial_ratio,
     q_number,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "DensityMatrix",
     "FieldSpec",
     "HamiltonianSpec",
-    "LadderCouplings",
     "PhysicalityError",
     "Propagator",
     "TeleportOutcome",
@@ -91,18 +89,18 @@ __all__ = [
     "choose_cutoff",
     "circuit_teleport",
     "closed_form_bob",
+    "coherent_field",
     "coherent_weights",
     "compare_bob_conventions",
     "compose",
     "decompose",
-    "deformation_factor",
     "entanglement_degree",
     "evolved_bloch",
     "fidelity_overlap",
     "fidelity_paper",
     "initial_bloch",
     "initial_composite_state",
-    "ladder_couplings",
+    "ladder_elements",
     "negativity",
     "propagate",
     "purity",

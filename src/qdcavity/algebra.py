@@ -15,14 +15,13 @@ import numpy as np
 __all__ = [
     "DeformationParameter",
     "FieldSpec",
-    "LadderCouplings",
     "TruncationError",
-    "deformation_factor",
     "q_number",
     "q_factorial_ratio",
-    "ladder_couplings",
+    "ladder_elements",
     "coherent_weights",
     "choose_cutoff",
+    "coherent_field",
     "time_chunks",
 ]
 
@@ -63,21 +62,6 @@ def _as_deformation(q) -> DeformationParameter:
     return DeformationParameter(float(q))
 
 
-def deformation_factor(n: int, q) -> float:
-    """f(n) = sqrt((1 - q^n)/(n (1 - q))) for n >= 1.
-
-    f(1) = 1 identically and f(n) -> 1 as q -> 1.  f(0) is excluded from
-    the domain: every physical matrix element carries sqrt(n) f(n) with
-    n >= 1, so the 0/0 form never arises.
-    """
-    if n < 1:
-        raise ValueError(f"deformation_factor requires n >= 1, got {n}")
-    qp = _as_deformation(q)
-    if qp.is_limit:
-        return 1.0
-    return math.sqrt((1.0 - qp.q**n) / (n * (1.0 - qp.q)))
-
-
 def q_number(n: int, q) -> float:
     """[n]_q = (1 - q^n)/(1 - q) = n f(n)^2; [0]_q = 0, [n]_1 = n."""
     if n < 0:
@@ -110,39 +94,19 @@ def q_factorial_ratio(n: int, k: int, q) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class LadderCouplings:
-    """Effective couplings of one excitation manifold, in units of the
-    bare coupling: nu1 links the doubly-excited state to the singly
-    excited pair, nu2 links that pair to the ground pair, and
-    mu = sqrt((nu1^2 + nu2^2)/2) is the manifold Rabi rate."""
-
-    nu1: float
-    nu2: float
-    mu: float
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.nu1 < 0 or self.nu2 < 0:
-            raise ValueError("couplings must be nonnegative")
-
-
-def ladder_couplings(n: int, m: int, lam: float, q) -> LadderCouplings:
-    """Manifold couplings nu1 = lam sqrt([n+1]..[n+m]) and
-    nu2 = lam sqrt([n+m+1]..[n+2m]); at q = 1 these reduce to the
-    factorial forms lam sqrt((n+m)!/n!) and lam sqrt((n+2m)!/(n+m)!)."""
-    if n < 0:
-        raise ValueError(f"ladder_couplings requires n >= 0, got {n}")
+def ladder_elements(cutoff: int, m: int, q) -> np.ndarray:
+    """<p-m| a_q^m |p> = sqrt([p-m+1]_q ... [p]_q) for p = 0..cutoff, zero
+    for p < m.  Every coupling of both engines is one of these times a
+    bare coupling constant."""
     if m < 1:
-        raise ValueError(f"ladder_couplings requires m >= 1, got {m}")
-    if lam <= 0:
-        raise ValueError(f"coupling constant must be positive, got {lam}")
+        raise ValueError(f"ladder_elements requires m >= 1, got {m}")
+    if cutoff < 0:
+        raise ValueError(f"ladder_elements requires cutoff >= 0, got {cutoff}")
     qp = _as_deformation(q)
-    nu1 = lam * math.sqrt(q_factorial_ratio(n, m, qp))
-    nu2 = lam * math.sqrt(q_factorial_ratio(n + m, m, qp))
-    mu = math.sqrt((nu1 * nu1 + nu2 * nu2) / 2.0)
-    return LadderCouplings(nu1=nu1, nu2=nu2, mu=mu, n=n, m=m)
+    out = np.zeros(cutoff + 1)
+    for p in range(m, cutoff + 1):
+        out[p] = math.sqrt(q_factorial_ratio(p - m, m, qp))
+    return out
 
 
 @dataclass(frozen=True)
@@ -252,6 +216,13 @@ def choose_cutoff(mean_photons: float, m: int, tail_eps: float = 1e-12) -> int:
         if tail < tail_eps:
             return k + 2 * m
     return len(terms) - 1 + 2 * m  # pragma: no cover - defensive
+
+
+def coherent_field(mean_photons: float, m: int,
+                   tail_eps: float = 1e-12) -> FieldSpec:
+    """Coherent field truncated at choose_cutoff(mean_photons, m, tail_eps)."""
+    cutoff = choose_cutoff(mean_photons, m, tail_eps)
+    return coherent_weights(mean_photons, cutoff, tail_eps)
 
 
 def time_chunks(times: np.ndarray, cutoff: int) -> list[np.ndarray]:

@@ -113,8 +113,7 @@ class SweepConfig:
         return exact.HamiltonianSpec.resonant(self.lam, m=self.m, q=q)
 
     def field(self) -> algebra.FieldSpec:
-        cutoff = algebra.choose_cutoff(self.nbar, self.m, self.tail_eps)
-        return algebra.coherent_weights(self.nbar, cutoff, self.tail_eps)
+        return algebra.coherent_field(self.nbar, self.m, self.tail_eps)
 
 
 def fmt(value: float) -> str:

@@ -8,19 +8,20 @@ two-atom state follows by summing shifted amplitude products over n.
 The manifold index runs from -2m: indices -2m..-m-1 hold the frozen
 ground states |gg, n+2m> with too few photons to climb, and -m..-1 hold
 the three-level tail {|eg,n+m>, |ge,n+m>, |gg,n+2m>} missing its
-doubly-excited head.  Couplings to missing states are zero there, which
-keeps the same formulas valid and makes the table exhaust the whole
-truncated space (total weight 1 for any initial state).  A 1-D array of
-times in place of one time puts a leading time axis on every result.
+doubly-excited head.  The couplings are lambda times the m-photon
+ladder elements of algebra.ladder_elements, which vanish below m photons,
+so couplings to missing states are zero there.  That keeps the same
+formulas valid and makes the table exhaust the whole truncated space
+(total weight 1 for any initial state).  A 1-D array of times in place
+of one time puts a leading time axis on every result.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FieldSpec, ladder_couplings, q_factorial_ratio
+from .algebra import FieldSpec, ladder_elements
 from .exact import AtomicInitialState, HamiltonianSpec
 from .states import TwoQubitBlochState
 
@@ -29,6 +30,7 @@ __all__ = [
     "AmplitudeTable",
     "UnsupportedConfigurationError",
     "amplitude_table",
+    "bloch_from_table",
     "evolved_bloch",
     "initial_bloch",
 ]
@@ -150,21 +152,15 @@ def initial_bloch(atoms: AtomicInitialState) -> TwoQubitBlochState:
 
 
 @functools.lru_cache(maxsize=128)
-def _cached_couplings(n_lo: int, n_hi: int, m: int, lam: float,
-                      q_value: float):
-    """nu1, nu2, mu per manifold index in [n_lo, n_hi]; couplings to
-    states that do not exist (negative photon numbers) are zero.  The
-    arrays are shared read-only across sweep points."""
-    count = n_hi - n_lo + 1
-    nu1 = np.zeros(count)
-    nu2 = np.zeros(count)
-    for i, n in enumerate(range(n_lo, n_hi + 1)):
-        if n >= 0:
-            couplings = ladder_couplings(n, m, lam, q_value)
-            nu1[i] = couplings.nu1
-            nu2[i] = couplings.nu2
-        elif n >= -m:
-            nu2[i] = lam * math.sqrt(q_factorial_ratio(n + m, m, q_value))
+def _cached_couplings(cutoff: int, m: int, lam: float, q_value: float):
+    """nu1, nu2, mu per manifold index n = p - 2m for p = 0..cutoff, read
+    off the ladder table L = ladder_elements(cutoff, m, q): nu2 = lam L[p]
+    couples |gg,p> upward and nu1 = lam L[p - m] couples |eg,p - m>, both
+    zero where the photon number falls below m.  The arrays are shared
+    read-only across sweep points."""
+    ladder = ladder_elements(cutoff, m, q_value)
+    nu2 = lam * ladder
+    nu1 = lam * np.concatenate([np.zeros(m), ladder[:-m]])
     mu = np.sqrt((nu1 * nu1 + nu2 * nu2) / 2.0)
     for arr in (nu1, nu2, mu):
         arr.setflags(write=False)
@@ -188,8 +184,7 @@ def _amplitude_arrays(t, atoms: AtomicInitialState, field: FieldSpec,
     w_nm = w_at(n_values + m)
     w_n2m = w_at(n_values + 2 * m)
 
-    nu1, nu2, mu = _cached_couplings(int(n_values[0]), int(n_values[-1]),
-                                     m, spec.lambda1, spec.q.q)
+    nu1, nu2, mu = _cached_couplings(field.cutoff, m, spec.lambda1, spec.q.q)
 
     # Frozen manifolds have mu = 0; there sin(2 mu t)/(2 mu) -> t and
     # sin^2(mu t)/mu^2 -> t^2, both multiplied by vanishing couplings.

@@ -11,7 +11,6 @@ and reductions, with the times on the leading axis.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .algebra import (
     DeformationParameter,
     FieldSpec,
     _as_deformation,
-    q_factorial_ratio,
+    ladder_elements,
     q_number,
 )
 
@@ -200,12 +199,9 @@ class CompositeState:
 
 def deformed_lowering_power(cutoff: int, m: int, q) -> np.ndarray:
     """Matrix of a_q^m on the truncated Fock space:
-    <n-m| a_q^m |n> = sqrt([n-m+1]_q ... [n]_q)."""
-    qp = _as_deformation(q)
-    dim = cutoff + 1
-    out = np.zeros((dim, dim))
-    for n in range(m, dim):
-        out[n - m, n] = math.sqrt(q_factorial_ratio(n - m, m, qp))
+    <n-m| a_q^m |n> = ladder_elements(cutoff, m, q)[n]."""
+    out = np.zeros((cutoff + 1, cutoff + 1))
+    np.fill_diagonal(out[:, m:], ladder_elements(cutoff, m, q)[m:])
     return out
 
 

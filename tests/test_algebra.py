@@ -7,30 +7,33 @@ from qdcavity import (
     DeformationParameter,
     TruncationError,
     choose_cutoff,
+    HamiltonianSpec,
+    coherent_field,
     coherent_weights,
-    deformation_factor,
-    ladder_couplings,
+    ladder_elements,
     q_factorial_ratio,
     q_number,
 )
+from qdcavity.closedform import _cached_couplings
 
 
-class TestDeformationFactor:
+class TestQNumber:
+    def test_zero(self):
+        for q in (0.0, 0.5, 1.0):
+            assert q_number(0, q) == 0.0
+
     def test_unity_at_n_one(self):
+        # [1]_q = 1, i.e. f(1) = 1 for every q.
         for q in (0.0, 0.3, 0.5, 0.9, 1.0):
-            assert deformation_factor(1, q) == pytest.approx(1.0, abs=1e-15)
+            assert q_number(1, q) == pytest.approx(1.0, abs=1e-15)
 
-    def test_undeformed_limit(self):
-        assert deformation_factor(2, 1.0) == 1.0
-        assert deformation_factor(37, 1.0) == 1.0
+    def test_hand_value(self):
+        assert q_number(2, 0.5) == pytest.approx(1.5, rel=1e-15)
+        assert q_number(3, 0.9) == pytest.approx(2.71, rel=1e-12)
 
-    def test_hand_values(self):
-        assert deformation_factor(2, 0.5) == pytest.approx(math.sqrt(0.75), rel=1e-12)
-        assert deformation_factor(3, 0.9) == pytest.approx(math.sqrt(0.271 / 0.3), rel=1e-12)
-
-    def test_rejects_n_zero(self):
-        with pytest.raises(ValueError):
-            deformation_factor(0, 0.5)
+    def test_undeformed(self):
+        assert q_number(5, 1.0) == 5.0
+        assert q_number(37, 1.0) == 37.0
 
     def test_rejects_q_outside_range(self):
         with pytest.raises(ValueError):
@@ -42,28 +45,16 @@ class TestDeformationFactor:
         # q = 1 - 1e-8 sits outside the guard band, so this exercises the
         # generic branch close to the singular point.
         for n in range(1, 101):
-            assert abs(deformation_factor(n, 1.0 - 1e-8) - 1.0) < 1e-6
+            assert abs(q_number(n, 1.0 - 1e-8) - n) <= 1e-6 * n
 
     def test_guard_band_routes_to_limit(self):
-        assert deformation_factor(50, 1.0 - 1e-12) == 1.0
+        assert q_number(50, 1.0 - 1e-12) == 50.0
 
     def test_bounded_in_unit_interval(self):
+        # 0 < [n]_q <= n, i.e. 0 < f(n) <= 1 for n >= 1.
         for q in np.linspace(0.0, 1.0, 11):
             for n in range(1, 101):
-                f = deformation_factor(n, float(q))
-                assert 0.0 < f <= 1.0 + 1e-15
-
-
-class TestQNumber:
-    def test_zero(self):
-        for q in (0.0, 0.5, 1.0):
-            assert q_number(0, q) == 0.0
-
-    def test_hand_value(self):
-        assert q_number(2, 0.5) == pytest.approx(1.5, rel=1e-15)
-
-    def test_undeformed(self):
-        assert q_number(5, 1.0) == 5.0
+                assert 0.0 < q_number(n, float(q)) <= n * (1.0 + 1e-15)
 
     def test_monotone_in_n(self):
         for q in (0.0, 0.5, 0.9, 1.0):
@@ -101,37 +92,62 @@ class TestQFactorialRatio:
             q_factorial_ratio(-1, 2, 0.5)
 
 
+def per_manifold_couplings(cutoff, m, lam, q):
+    """nu1, nu2, mu per manifold index n = -2m..cutoff-2m, written out per
+    n as the couplings were before the ladder table: the reference."""
+    nu1 = np.zeros(cutoff + 1)
+    nu2 = np.zeros(cutoff + 1)
+    for i, n in enumerate(range(-2 * m, cutoff - 2 * m + 1)):
+        if n >= 0:
+            nu1[i] = lam * math.sqrt(q_factorial_ratio(n, m, q))
+        if n >= -m:
+            nu2[i] = lam * math.sqrt(q_factorial_ratio(n + m, m, q))
+    return nu1, nu2, np.sqrt((nu1 * nu1 + nu2 * nu2) / 2.0)
+
+
 class TestLadderCouplings:
+    """Couplings of manifold n = 0 sit at index 2m of the coupling table."""
+
     def test_single_photon_undeformed(self):
-        lc = ladder_couplings(0, 1, 1.0, 1.0)
-        assert lc.nu1 == pytest.approx(1.0, rel=1e-14)
-        assert lc.nu2 == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert lc.mu == pytest.approx(math.sqrt(1.5), rel=1e-14)
+        nu1, nu2, mu = _cached_couplings(8, 1, 1.0, 1.0)
+        assert nu1[2] == pytest.approx(1.0, rel=1e-14)
+        assert nu2[2] == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert mu[2] == pytest.approx(math.sqrt(1.5), rel=1e-14)
 
     def test_single_photon_deformed(self):
-        lc = ladder_couplings(0, 1, 1.0, 0.5)
-        assert lc.nu1 == pytest.approx(1.0, rel=1e-14)
-        assert lc.nu2 == pytest.approx(math.sqrt(1.5), rel=1e-14)
-        assert lc.mu == pytest.approx(math.sqrt(1.25), rel=1e-14)
+        nu1, nu2, mu = _cached_couplings(8, 1, 1.0, 0.5)
+        assert nu1[2] == pytest.approx(1.0, rel=1e-14)
+        assert nu2[2] == pytest.approx(math.sqrt(1.5), rel=1e-14)
+        assert mu[2] == pytest.approx(math.sqrt(1.25), rel=1e-14)
 
     def test_two_photon_undeformed(self):
-        lc = ladder_couplings(0, 2, 1.0, 1.0)
-        assert lc.nu1 == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert lc.nu2 == pytest.approx(math.sqrt(12.0), rel=1e-14)
-        assert lc.mu == pytest.approx(math.sqrt(7.0), rel=1e-14)
+        nu1, nu2, mu = _cached_couplings(8, 2, 1.0, 1.0)
+        assert nu1[4] == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert nu2[4] == pytest.approx(math.sqrt(12.0), rel=1e-14)
+        assert mu[4] == pytest.approx(math.sqrt(7.0), rel=1e-14)
 
     def test_mu_matches_stored_couplings(self):
-        for n in range(10):
-            lc = ladder_couplings(n, 2, 0.8, 0.9)
-            assert lc.mu == math.sqrt((lc.nu1**2 + lc.nu2**2) / 2.0)
+        nu1, nu2, mu = _cached_couplings(13, 2, 0.8, 0.9)
+        for i in range(14):
+            assert mu[i] == math.sqrt((nu1[i] ** 2 + nu2[i] ** 2) / 2.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            ladder_couplings(-1, 1, 1.0, 0.5)
+            ladder_elements(-1, 1, 0.5)
         with pytest.raises(ValueError):
-            ladder_couplings(0, 0, 1.0, 0.5)
+            ladder_elements(4, 0, 0.5)
         with pytest.raises(ValueError):
-            ladder_couplings(0, 1, 0.0, 0.5)
+            HamiltonianSpec.resonant(0.0, m=1, q=0.5)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_per_manifold_formula(self, m):
+        for q in (0.0, 0.5, 0.9, 1.0 - 1e-12, 1.0):
+            for lam in (0.8, 1.0):
+                for cutoff in (2 * m, 59, 627):
+                    table = _cached_couplings(cutoff, m, lam, q)
+                    reference = per_manifold_couplings(cutoff, m, lam, q)
+                    for got, want in zip(table, reference):
+                        assert np.array_equal(got, want), (q, lam, cutoff)
 
 
 class TestCoherentWeights:
@@ -193,3 +209,12 @@ class TestChooseCutoff:
     def test_rejects_bad_tail_eps(self):
         with pytest.raises(ValueError):
             choose_cutoff(1.0, 1, 2e-3)
+
+    def test_coherent_field_truncates_at_chosen_cutoff(self):
+        for nbar, m, tail_eps in ((0.0, 1, 1e-12), (10.0, 2, 1e-12),
+                                  (400.0, 3, 1e-6)):
+            cutoff = choose_cutoff(nbar, m, tail_eps)
+            field = coherent_field(nbar, m, tail_eps)
+            assert field.cutoff == cutoff and field.tail_eps == tail_eps
+            assert np.array_equal(field.weights,
+                                  coherent_weights(nbar, cutoff, tail_eps).weights)

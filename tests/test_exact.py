@@ -16,6 +16,7 @@ from qdcavity import (
     propagate,
     reduced_atomic_state,
 )
+from qdcavity.algebra import q_factorial_ratio
 from qdcavity.exact import _manifold_blocks, deformed_lowering_power
 
 
@@ -61,6 +62,16 @@ class TestDeformedLadder:
         a = deformed_lowering_power(4, 1, 0.5)
         assert a[0, 1] == pytest.approx(1.0, rel=1e-14)
         assert a[1, 2] == pytest.approx(math.sqrt(1.5), rel=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_per_photon_loop(self, m):
+        for q in (0.0, 0.5, 0.9, 1.0 - 1e-12, 1.0):
+            for cutoff in (0, m - 1, 2 * m, 17, 62):
+                reference = np.zeros((cutoff + 1, cutoff + 1))
+                for n in range(m, cutoff + 1):
+                    reference[n - m, n] = math.sqrt(q_factorial_ratio(n - m, m, q))
+                assert np.array_equal(deformed_lowering_power(cutoff, m, q),
+                                      reference), (q, cutoff)
 
 
 class TestBuildHamiltonian:
