@@ -17,6 +17,21 @@ from qdcavity import (
 from qdcavity.closedform import _cached_couplings
 
 
+def deformation_factor(n, q):
+    """f(n) = <n-1| a_q |n> / sqrt(n), read off the single-photon ladder."""
+    return ladder_elements(n, 1, q)[n] / math.sqrt(n)
+
+
+class TestDeformationFactor:
+    def test_undeformed_limit(self):
+        assert deformation_factor(2, 1.0) == 1.0
+        assert deformation_factor(37, 1.0) == 1.0
+
+    def test_hand_values(self):
+        assert deformation_factor(2, 0.5) == pytest.approx(math.sqrt(0.75), rel=1e-12)
+        assert deformation_factor(3, 0.9) == pytest.approx(math.sqrt(0.271 / 0.3), rel=1e-12)
+
+
 class TestQNumber:
     def test_zero(self):
         for q in (0.0, 0.5, 1.0):
