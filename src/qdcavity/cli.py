@@ -89,7 +89,7 @@ class SweepConfig:
         # A bad value must fail here, before any output or --out file exists.
         for q in self.q_values:
             algebra.DeformationParameter(q)
-        self.field()
+        self._field = algebra.coherent_field(self.nbar, self.m, self.tail_eps)
         self.unknown_qubit()
 
     @property
@@ -113,7 +113,7 @@ class SweepConfig:
         return exact.HamiltonianSpec.resonant(self.lam, m=self.m, q=q)
 
     def field(self) -> algebra.FieldSpec:
-        return algebra.coherent_field(self.nbar, self.m, self.tail_eps)
+        return self._field
 
 
 def fmt(value: float) -> str:

@@ -129,6 +129,20 @@ class TestSimulate:
                          "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_field_built_once(self, monkeypatch, capsys):
+        calls = []
+        build = algebra.coherent_field
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(algebra, "coherent_field", counting)
+        code, _, _ = run_cli(["simulate", "--steps", "3", "--nbar", "0"],
+                             capsys)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_stream_api(self):
         config = SweepConfig(q_values=(1.0,), steps=3, nbar=0.0)
         buffer = io.StringIO()
