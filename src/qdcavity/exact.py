@@ -70,7 +70,6 @@ class HamiltonianSpec:
     q: DeformationParameter
     detuning: float = 0.0
     field_freq: float = 1.0
-    atom_freq: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "q", _as_deformation(self.q))
@@ -78,13 +77,11 @@ class HamiltonianSpec:
             raise ConfigurationError("coupling constants must be positive")
         if self.m < 1:
             raise ConfigurationError("photon multiplicity m must be >= 1")
-        if self.atom_freq is None:
-            object.__setattr__(self, "atom_freq",
-                               self.field_freq - self.detuning)
-        elif abs(self.field_freq - self.atom_freq - self.detuning) > 1e-12:
-            raise ConfigurationError(
-                "field_freq - atom_freq must equal the detuning"
-            )
+
+    @property
+    def atom_freq(self) -> float:
+        """Atomic transition frequency, field_freq - detuning."""
+        return self.field_freq - self.detuning
 
     @classmethod
     def resonant(cls, coupling: float, m: int = 1, q=1.0) -> "HamiltonianSpec":

@@ -47,9 +47,6 @@ class TestHamiltonianSpec:
     def test_atom_freq_consistency(self):
         spec = HamiltonianSpec(1.0, 1.0, 1, 1.0, detuning=0.5, field_freq=2.0)
         assert spec.atom_freq == pytest.approx(1.5)
-        with pytest.raises(ConfigurationError):
-            HamiltonianSpec(1.0, 1.0, 1, 1.0, detuning=0.5, field_freq=2.0,
-                            atom_freq=1.0)
 
 
 class TestDeformedLadder:
