@@ -211,11 +211,8 @@ def choose_cutoff(mean_photons: float, m: int, tail_eps: float = 1e-12) -> int:
             raise TruncationError("coherent amplitude tail did not converge")
     suffix = np.cumsum(np.asarray(terms)[::-1])[::-1]
     # suffix[k] = sum_{n >= k} W_n; want smallest K with suffix[K+1] < eps.
-    for k in range(len(terms)):
-        tail = suffix[k + 1] if k + 1 < len(terms) else 0.0
-        if tail < tail_eps:
-            return k + 2 * m
-    return len(terms) - 1 + 2 * m  # pragma: no cover - defensive
+    tails = [*suffix[1:].tolist(), 0.0]
+    return next(k for k, tail in enumerate(tails) if tail < tail_eps) + 2 * m
 
 
 def coherent_field(mean_photons: float, m: int,
