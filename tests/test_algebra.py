@@ -86,37 +86,43 @@ class TestQNumber:
 
 
 class TestQFactorialRatio:
+    """[n+1]_q ... [n+m]_q is the squared ladder element L[n+m]^2."""
+
     def test_empty_product(self):
         assert q_factorial_ratio(3, 0, 0.7) == 1.0
 
     def test_undeformed_factorials(self):
-        assert q_factorial_ratio(0, 2, 1.0) == 2.0
-        assert q_factorial_ratio(2, 2, 1.0) == 12.0
+        ladder = ladder_elements(4, 2, 1.0)
+        assert ladder[2] ** 2 == pytest.approx(2.0, rel=1e-14)
+        assert ladder[4] ** 2 == pytest.approx(12.0, rel=1e-14)
 
     def test_deformed_product(self):
-        assert q_factorial_ratio(0, 2, 0.5) == pytest.approx(1.5, rel=1e-14)
+        assert ladder_elements(2, 2, 0.5)[2] ** 2 == pytest.approx(1.5, rel=1e-14)
 
     def test_large_arguments_stay_finite(self):
-        value = q_factorial_ratio(500, 3, 1.0)
-        assert value == pytest.approx(501 * 502 * 503, rel=1e-12)
-        huge = q_factorial_ratio(10**6, 2, 1.0)
-        assert np.isfinite(huge)
+        ladder = ladder_elements(5000, 3, 1.0)
+        assert ladder[503] ** 2 == pytest.approx(501 * 502 * 503, rel=1e-12)
+        assert np.all(np.isfinite(ladder))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            q_factorial_ratio(-1, 2, 0.5)
+            ladder_elements(-1, 2, 0.5)
 
 
 def per_manifold_couplings(cutoff, m, lam, q):
     """nu1, nu2, mu per manifold index n = -2m..cutoff-2m, written out per
     n as the couplings were before the ladder table: the reference."""
+    def ladder(n):
+        return math.sqrt(math.prod(q_number(j, q)
+                                   for j in range(n + 1, n + m + 1)))
+
     nu1 = np.zeros(cutoff + 1)
     nu2 = np.zeros(cutoff + 1)
     for i, n in enumerate(range(-2 * m, cutoff - 2 * m + 1)):
         if n >= 0:
-            nu1[i] = lam * math.sqrt(q_factorial_ratio(n, m, q))
+            nu1[i] = lam * ladder(n)
         if n >= -m:
-            nu2[i] = lam * math.sqrt(q_factorial_ratio(n + m, m, q))
+            nu2[i] = lam * ladder(n + m)
     return nu1, nu2, np.sqrt((nu1 * nu1 + nu2 * nu2) / 2.0)
 
 
