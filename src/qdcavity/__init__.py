@@ -15,7 +15,6 @@ from .algebra import (
     coherent_field,
     coherent_weights,
     ladder_elements,
-    q_factorial_ratio,
     q_number,
 )
 from .closedform import (
@@ -104,7 +103,6 @@ __all__ = [
     "negativity",
     "propagate",
     "purity",
-    "q_factorial_ratio",
     "q_number",
     "reduced_atomic_state",
     "werner_parameters",

@@ -3,8 +3,10 @@
 The deformed ladder operators are a_q = a f(n) with
 f(n) = sqrt((1 - q^n) / (n (1 - q))), so that a_q|n> = sqrt([n]_q)|n-1>
 where [n]_q = (1 - q^n)/(1 - q) is the q-number.  q -> 1 recovers the
-ordinary oscillator ([n]_1 = n); the limit is taken analytically, never
-by dividing 0/0.
+ordinary oscillator ([n]_1 = n).  [n]_q is evaluated for every q as
+-expm1(n log1p(-eps))/eps with eps = 1 - q, which keeps full relative
+precision as q -> 1 instead of cancelling in 1 - q^n; q = 1 ([n]_1 = n)
+and q = 0 ([n]_0 = min(n, 1)) are exact special cases.
 """
 
 import math
@@ -17,7 +19,6 @@ __all__ = [
     "FieldSpec",
     "TruncationError",
     "q_number",
-    "q_factorial_ratio",
     "ladder_elements",
     "coherent_weights",
     "choose_cutoff",
@@ -30,10 +31,6 @@ __all__ = [
 # operand swap changes the last bit of complex products) and add < 0.5 MiB
 # to peak RSS; larger chunks were measured to add more.
 CHUNK_CELLS = 2**12
-
-# q values this close to 1 are routed to the analytic q->1 branch to avoid
-# catastrophic cancellation in (1 - q^n)/(1 - q).
-_LIMIT_BAND = 1e-10
 
 
 class TruncationError(ValueError):
@@ -50,11 +47,6 @@ class DeformationParameter:
         if not (0.0 <= self.q <= 1.0):
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
 
-    @property
-    def is_limit(self) -> bool:
-        """True when q sits inside the analytic q->1 guard band."""
-        return 1.0 - self.q < _LIMIT_BAND
-
 
 def _as_deformation(q) -> DeformationParameter:
     if isinstance(q, DeformationParameter):
@@ -66,32 +58,12 @@ def q_number(n: int, q) -> float:
     """[n]_q = (1 - q^n)/(1 - q) = n f(n)^2; [0]_q = 0, [n]_1 = n."""
     if n < 0:
         raise ValueError(f"q_number requires n >= 0, got {n}")
-    qp = _as_deformation(q)
-    if qp.is_limit:
+    eps = 1.0 - _as_deformation(q).q
+    if eps == 0.0:
         return float(n)
-    return (1.0 - qp.q**n) / (1.0 - qp.q)
-
-
-def q_factorial_ratio(n: int, k: int, q) -> float:
-    """Product of q-numbers [n+1]_q [n+2]_q ... [n+k]_q.
-
-    Equals (n+k)!/n! in the q -> 1 limit (evaluated through log-gamma to
-    stay finite for large n) and 1 for the empty product k = 0.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("q_factorial_ratio requires n, k >= 0")
-    if k == 0:
-        return 1.0
-    qp = _as_deformation(q)
-    if qp.is_limit:
-        try:
-            return float(math.prod(range(n + 1, n + k + 1)))
-        except OverflowError:
-            return math.exp(math.lgamma(n + k + 1) - math.lgamma(n + 1))
-    out = 1.0
-    for j in range(n + 1, n + k + 1):
-        out *= q_number(j, qp)
-    return out
+    if eps == 1.0:
+        return float(min(n, 1))
+    return -math.expm1(n * math.log1p(-eps)) / eps
 
 
 def ladder_elements(cutoff: int, m: int, q) -> np.ndarray:
@@ -103,9 +75,13 @@ def ladder_elements(cutoff: int, m: int, q) -> np.ndarray:
     if cutoff < 0:
         raise ValueError(f"ladder_elements requires cutoff >= 0, got {cutoff}")
     qp = _as_deformation(q)
+    numbers = np.array([q_number(n, qp) for n in range(cutoff + 1)])
+    rows = max(cutoff + 1 - m, 0)
+    product = numbers[1:1 + rows]
+    for j in range(2, m + 1):
+        product = product * numbers[j:j + rows]
     out = np.zeros(cutoff + 1)
-    for p in range(m, cutoff + 1):
-        out[p] = math.sqrt(q_factorial_ratio(p - m, m, qp))
+    out[m:] = np.sqrt(product)
     return out
 
 

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdcavity import (
     DeformationParameter,
@@ -11,10 +13,15 @@ from qdcavity import (
     coherent_field,
     coherent_weights,
     ladder_elements,
-    q_factorial_ratio,
     q_number,
 )
 from qdcavity.closedform import _cached_couplings
+
+
+def exact_q_number(n, q):
+    """[n]_q = 1 + q + ... + q^(n-1) in exact rational arithmetic."""
+    q = Fraction(q)
+    return float((1 - q**n) / (1 - q)) if q != 1 else float(n)
 
 
 def deformation_factor(n, q):
@@ -57,13 +64,24 @@ class TestQNumber:
             DeformationParameter(1.1)
 
     def test_limit_continuity(self):
-        # q = 1 - 1e-8 sits outside the guard band, so this exercises the
-        # generic branch close to the singular point.
         for n in range(1, 101):
             assert abs(q_number(n, 1.0 - 1e-8) - n) <= 1e-6 * n
 
-    def test_guard_band_routes_to_limit(self):
-        assert q_number(50, 1.0 - 1e-12) == 50.0
+    def test_exact_near_undeformed_limit(self):
+        # (1 - q^n)/(1 - q) cancels catastrophically here: 2e-9 to 7.5e-8
+        # relative error in the first three cases.
+        for q, n in ((1.0 - 1e-9, 5), (1.0 - 5e-11, 400),
+                     (1.0 - 5e-11, 3000), (1.0 - 1e-12, 50)):
+            want = exact_q_number(n, q)
+            assert abs(q_number(n, q) - want) <= 1e-13 * want, (q, n)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(q=st.one_of(st.floats(0.0, 1.0),
+                       st.integers(1, 15).map(lambda s: 1.0 - 10.0**-s)),
+           n=st.integers(0, 5000))
+    def test_matches_exact_rational(self, q, n):
+        want = exact_q_number(n, q)
+        assert abs(q_number(n, q) - want) <= 1e-13 * want
 
     def test_bounded_in_unit_interval(self):
         # 0 < [n]_q <= n, i.e. 0 < f(n) <= 1 for n >= 1.
@@ -87,9 +105,6 @@ class TestQNumber:
 
 class TestQFactorialRatio:
     """[n+1]_q ... [n+m]_q is the squared ladder element L[n+m]^2."""
-
-    def test_empty_product(self):
-        assert q_factorial_ratio(3, 0, 0.7) == 1.0
 
     def test_undeformed_factorials(self):
         ladder = ladder_elements(4, 2, 1.0)

@@ -14,18 +14,18 @@ import pytest
 from qdcavity import cli
 
 GOLDEN = {
-    ("1a", "closed"): "47a60b56f74778760c4c2003fd6fa84104a79c269498a6b49036364f7f635e08",
-    ("1a", "both"): "48e831886fa3333996c9f519067f3423a3e21ea95c030751c8c4c53471872c40",
-    ("1b", "closed"): "c2da4030b31b47153068b00f5a1cd49a64b35835ba9755c74a84e083c003fca6",
-    ("1b", "both"): "46051e7a14ce4b224674ccc80811a63725391ce862c1fcc845c78ac2dd3b43fb",
-    ("2a", "closed"): "38c804517a3fc111592a1c66f36eb569f4517fd84adeca9c7c8adbddb2e0da3b",
-    ("2a", "both"): "ea2778faa8b5cef1d0e74ee48fc1b3e332b1146f353ccc8c80620ffdfca9d729",
-    ("2b", "closed"): "2b43f54bb7de47b88e3d23cd20e2fe2b3b2c454e8bf0d43c21b4b830a0bc0e3c",
-    ("2b", "both"): "ef302ecbcb0acebf3c200a2e394648e564af030d5590f9904c6ea23f89e5f778",
+    ("1a", "closed"): "b4144c70c71a944fa1049e44714ea5526238e97b1349fd7a654426f053aa4eef",
+    ("1a", "both"): "2047157bb30055ed438cd3f3efdb834624ad43e1a5cc1ad965dfcaf36e56ac7d",
+    ("1b", "closed"): "5c512f4f17d76f39c2fe69ec7c1f9c376931923028482d468f3a970529e28e9d",
+    ("1b", "both"): "1f1c7545a8b57093958f10fe9a054d6932d64605b55fc394138eddc90d097c65",
+    ("2a", "closed"): "19fadd582cdb873525a82eba983a2a3a74b3ebf6afb4f778d45999fa6fed0b8e",
+    ("2a", "both"): "0ef6c042e46e83e4328c889d676d6aa7b9a493f23699db74661dc4c9535d9de4",
+    ("2b", "closed"): "5d66a33690174a5d9ac4fe1f8b9adf4049db621551091a0841f4a328a06af949",
+    ("2b", "both"): "33c9c047aaa1655c2d7b117e1c6a9142c9a589aaf4c3d4ea0f1f3b566d010c2d",
     ("3a", "closed"): "8bb0c9b10a35260e3038e58c95df23ba48aca500d7eafb1a1718a8c931699793",
-    ("3a", "both"): "080ddb14c91f2cd725163bbfb35683899a0351e85fb69bc869e365ac92a56b86",
+    ("3a", "both"): "85909231001b856b86b92f794950a93b0d9e961f4da44229ce62bd6d13ef8dde",
     ("3b", "closed"): "8789462f4fab6cd6369f98ac506f0369f32aa181f3538d2647f56617b07a81fd",
-    ("3b", "both"): "5c4b7f11788cd64fdf8403e57165322872b0c2cd0642d7b3023979cca71465d1",
+    ("3b", "both"): "4552b84ca8a2be9871532e9206af14c6327905ee6df1172a5642dfebd2a94fef",
 }
 
 VALIDATE_GOLDEN = "c6578bcf99a2834302436330f499d49f51b3d4ec0116fd12ddcd05fee6e437d9"

@@ -10,7 +10,8 @@ import qdcavity
 MODULES = ("algebra", "cli", "closedform", "exact", "states", "teleport",
            "validate")
 
-DELETED = ("LadderCouplings", "deformation_factor", "ladder_couplings")
+DELETED = ("LadderCouplings", "deformation_factor", "ladder_couplings",
+           "q_factorial_ratio")
 
 
 @pytest.mark.parametrize("name", MODULES)
