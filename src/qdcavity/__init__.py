@@ -36,7 +36,6 @@ from .exact import (
     Propagator,
     build_hamiltonian,
     initial_composite_state,
-    propagate,
     reduced_atomic_state,
 )
 from .states import (
@@ -101,7 +100,6 @@ __all__ = [
     "initial_composite_state",
     "ladder_elements",
     "negativity",
-    "propagate",
     "purity",
     "q_number",
     "reduced_atomic_state",

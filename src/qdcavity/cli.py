@@ -1,5 +1,8 @@
 """Command-line surface: time sweeps, teleportation sweeps and the
 cross-validation report, all emitted as deterministic CSV/plain text.
+`simulate` and `teleport` resolve their flags, --config file and --fig
+preset into one sweep.SweepConfig and format the rows of sweep.sweep;
+`validate` prints the report of validate.run_all_checks.
 
 Times are always reported as lambda * t (dimensionless).  Values are
 printed with 12 significant digits, comma-delimited, with a provenance
@@ -9,12 +12,12 @@ repeated run is byte-identical.
 
 import argparse
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, algebra, closedform, exact, states, teleport
+from . import __version__, closedform, states, teleport
+from .sweep import SweepConfig, sweep
 from .validate import ideal_channel_shortfall, run_all_checks
 
 __all__ = ["main", "SweepConfig"]
@@ -47,73 +50,6 @@ def parse_complex(text: str) -> complex:
         return complex(cleaned)
     except ValueError as err:
         raise ValueError(f"cannot parse complex number from {text!r}") from err
-
-
-@dataclass
-class SweepConfig:
-    engine: str = "closed"
-    q_values: tuple[float, ...] = (1.0,)
-    m: int = 1
-    nbar: float = 10.0
-    lam: float = 1.0
-    t_max: float = 10.0
-    steps: int = 201
-    atoms: tuple[complex, complex, complex, complex] = (1.0, 0.0, 0.0, 0.0)
-    alpha: complex = complex(1 / np.sqrt(2.0))
-    beta: complex = complex(1 / np.sqrt(2.0))
-    tail_eps: float = 1e-12
-    out: str | None = None
-    fig: str | None = None
-    warnings: list[str] = dataclass_field(default_factory=list)
-
-    def __post_init__(self):
-        if self.engine not in ("closed", "exact", "both"):
-            raise ValueError(f"unknown engine {self.engine!r}")
-        if self.steps < 2:
-            raise ValueError("steps must be at least 2")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        norm = float(np.linalg.norm(np.asarray(self.atoms, dtype=complex)))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(
-                f"atomic amplitudes have norm {norm!r}; renormalisation is "
-                "only applied for deviations below 1e-6")
-        if abs(norm - 1.0) > 0:
-            rescaled = tuple(complex(a) / norm for a in self.atoms)
-            if abs(norm - 1.0) > 1e-15:
-                self.warnings.append(
-                    f"renormalised atomic amplitudes (norm was {norm!r})")
-            self.atoms = rescaled
-        # A bad value must fail here, before any output or --out file exists.
-        for q in self.q_values:
-            algebra.DeformationParameter(q)
-        self._field = algebra.coherent_field(self.nbar, self.m, self.tail_eps)
-        self.unknown_qubit()
-
-    @property
-    def time_grid(self) -> np.ndarray:
-        """Times in units of 1/lambda such that lambda*t spans [0, t_max]."""
-        return np.linspace(0.0, self.t_max, self.steps) / self.lam
-
-    def atomic_state(self) -> exact.AtomicInitialState:
-        return exact.AtomicInitialState(*self.atoms)
-
-    def unknown_qubit(self) -> teleport.UnknownQubit:
-        ket = np.array([self.alpha, self.beta], dtype=complex)
-        norm = float(np.linalg.norm(ket))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"unknown-qubit amplitudes have norm {norm!r}")
-        ket = ket / norm
-        return teleport.UnknownQubit(alpha=complex(ket[0]),
-                                     beta=complex(ket[1]))
-
-    def hamiltonian(self, q: float) -> exact.HamiltonianSpec:
-        return exact.HamiltonianSpec.resonant(self.lam, m=self.m, q=q)
-
-    def field(self) -> algebra.FieldSpec:
-        return self._field
 
 
 def fmt(value: float) -> str:
@@ -192,7 +128,7 @@ def _resolve(args: argparse.Namespace, command: str) -> SweepConfig:
     return SweepConfig(**fields, out=args.out, fig=args.fig)
 
 
-def _provenance(config: SweepConfig, command: str, cutoff: int) -> list[str]:
+def _provenance(config: SweepConfig, command: str) -> list[str]:
     lines = [
         f"# qdcavity v{__version__} {command}",
         f"# engine={config.engine}",
@@ -201,7 +137,7 @@ def _provenance(config: SweepConfig, command: str, cutoff: int) -> list[str]:
         f"tail_eps={config.tail_eps:g}",
         f"# t_max={fmt(config.t_max)} steps={config.steps}",
         "# atoms=" + ",".join(fmt_complex(a) for a in config.atoms),
-        f"# cutoff={cutoff}",
+        f"# cutoff={config.field().cutoff}",
         "# note: q=1 is the undeformed limit of the ladder algebra; "
         "q=0 is the strongest deformation",
     ]
@@ -212,32 +148,12 @@ def _provenance(config: SweepConfig, command: str, cutoff: int) -> list[str]:
     return lines
 
 
-def _sweep(config: SweepConfig, field):
-    """Yield (q, times, table, reduced) per chunk of the time grid: the
-    closed-form AmplitudeTable (None under --engine exact) and the exact
-    engine's reduced atomic states (None under --engine closed)."""
-    atoms = config.atomic_state()
-    closed = config.engine in ("closed", "both")
-    propagate = config.engine in ("exact", "both")
-    initial = exact.initial_composite_state(atoms, field) if propagate else None
-    for q in config.q_values:
-        spec = config.hamiltonian(q)
-        propagator = exact.Propagator(spec, field.cutoff) if propagate else None
-        for times in algebra.time_chunks(config.time_grid, field.cutoff):
-            table = (closedform.amplitude_table(times, atoms, field, spec)
-                     if closed else None)
-            reduced = (exact.reduced_atomic_state(
-                propagator.evolve(initial, times)) if propagate else None)
-            yield q, times, table, reduced
-
-
 def cmd_simulate(config: SweepConfig, stream) -> int:
-    field = config.field()
     columns = SIMULATE_COLUMNS + (("max_dev",) if config.engine == "both" else ())
-    for line in _provenance(config, "simulate", field.cutoff):
+    for line in _provenance(config, "simulate"):
         print(line, file=stream)
     print(",".join(columns), file=stream)
-    for q, times, table, reduced in _sweep(config, field):
+    for q, times, table, reduced in sweep(config):
         bloch = (states.decompose(reduced) if table is None
                  else closedform.bloch_from_table(table))
         rho = states.compose(bloch)
@@ -257,10 +173,9 @@ def cmd_simulate(config: SweepConfig, stream) -> int:
 
 
 def cmd_teleport(config: SweepConfig, stream) -> int:
-    field = config.field()
     unknown = config.unknown_qubit()
     su = unknown.su
-    for line in _provenance(config, "teleport", field.cutoff):
+    for line in _provenance(config, "teleport"):
         print(line, file=stream)
     print(f"# alpha={fmt_complex(unknown.alpha)} beta={fmt_complex(unknown.beta)} "
           f"su={','.join(fmt(v) for v in su)}", file=stream)
@@ -273,7 +188,7 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
           file=stream)
     columns = TELEPORT_COLUMNS + (("max_dev",) if config.engine == "both" else ())
     print(",".join(columns), file=stream)
-    for q, times, table, reduced in _sweep(config, field):
+    for q, times, table, reduced in sweep(config):
         channel = (reduced if table is None
                    else states.compose(closedform.bloch_from_table(table)))
         outcomes = teleport.circuit_teleport(channel, unknown)
@@ -360,24 +275,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "validate":
         return cmd_validate(sys.stdout)
+    runner = cmd_simulate if args.command == "simulate" else cmd_teleport
+    # UnsupportedConfigurationError is a ValueError too.
     try:
         config = _resolve(args, args.command)
-    except (ValueError, closedform.UnsupportedConfigurationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    for warning in config.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    runner = cmd_simulate if args.command == "simulate" else cmd_teleport
-    try:
+        for warning in config.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
         if config.out:
             with open(config.out, "w", newline="\n") as handle:
-                code = runner(config, handle)
-        else:
-            code = runner(config, sys.stdout)
-    except (ValueError, closedform.UnsupportedConfigurationError) as err:
+                return runner(config, handle)
+        return runner(config, sys.stdout)
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -168,21 +168,16 @@ def _cached_couplings(cutoff: int, m: int, lam: float, q_value: float):
 
 
 def _amplitude_arrays(t, atoms: AtomicInitialState, field: FieldSpec,
-                      spec: HamiltonianSpec, n_values: np.ndarray) -> np.ndarray:
+                      spec: HamiltonianSpec) -> np.ndarray:
     a1, a2, a3, a4 = atoms.amplitudes
     m = spec.m
-    w = field.weights
-    t = np.asarray(t, dtype=float)[..., None]  # ([T,] 1) against n_values
+    t = np.asarray(t, dtype=float)[..., None]  # ([T,] 1) against n
 
-    def w_at(offsets: np.ndarray) -> np.ndarray:
-        out = np.zeros(offsets.shape)
-        ok = (offsets >= 0) & (offsets <= field.cutoff)
-        out[ok] = w[offsets[ok]]
-        return out
-
-    w_n = w_at(n_values)
-    w_nm = w_at(n_values + m)
-    w_n2m = w_at(n_values + 2 * m)
+    # Coherent weights W_{n+2m}, W_{n+m}, W_n for n = -2m..cutoff-2m; a
+    # weight at a negative photon number is zero.
+    w_n2m = field.weights
+    w_nm = np.concatenate([np.zeros(m), w_n2m[:-m]])
+    w_n = np.concatenate([np.zeros(2 * m), w_n2m[:-2 * m]])
 
     nu1, nu2, mu = _cached_couplings(field.cutoff, m, spec.lambda1, spec.q.q)
 
@@ -218,8 +213,7 @@ def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
         raise UnsupportedConfigurationError(
             f"cutoff {field.cutoff} below one manifold span 2m = {2 * m}"
         )
-    n_values = np.arange(-2 * m, n_top + 1)
-    c = _amplitude_arrays(t, atoms, field, spec, n_values)
+    c = _amplitude_arrays(t, atoms, field, spec)
     return AmplitudeTable(m=m, n_top=n_top, c=c)
 
 
@@ -228,8 +222,7 @@ def evolved_bloch(t, atoms: AtomicInitialState, field: FieldSpec,
     """Bloch vectors and cross dyadic of the reduced two-atom state at
     time t, or at each time of a 1-D array, assembled from shifted
     manifold-amplitude products."""
-    table = amplitude_table(t, atoms, field, spec)
-    return bloch_from_table(table)
+    return bloch_from_table(amplitude_table(t, atoms, field, spec))
 
 
 def bloch_from_table(table: AmplitudeTable) -> TwoQubitBlochState:

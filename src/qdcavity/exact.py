@@ -10,7 +10,6 @@ Evolving to a 1-D array of times gives stacked states, density matrices
 and reductions, with the times on the leading axis.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "build_hamiltonian",
     "deformed_lowering_power",
     "initial_composite_state",
-    "propagate",
     "reduced_atomic_state",
 ]
 
@@ -289,18 +287,6 @@ class Propagator:
             phases = np.exp(-1j * eigvals * t[..., None, None])[..., None]
             amps[..., flat] = (eigvecs @ (phases * coefficients))[..., 0]
         return CompositeState(self.cutoff, amps.reshape(t.shape + (4, -1)))
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_propagator(spec: HamiltonianSpec, cutoff: int) -> Propagator:
-    return Propagator(spec, cutoff)
-
-
-def propagate(state: CompositeState, spec: HamiltonianSpec,
-              t: float) -> CompositeState:
-    """Evolve a composite state; block decompositions are cached per
-    (spec, cutoff)."""
-    return _cached_propagator(spec, state.cutoff).evolve(state, t)
 
 
 def initial_composite_state(atoms: AtomicInitialState,

@@ -1,8 +1,10 @@
 """Cross-validation suite: algebra identities, normalisation, agreement
 of the closed-form engine with the exact propagator, and teleportation
 self-tests.  The CLI `validate` subcommand renders these results; the
-acceptance tests assert the same bounds independently.  Time sweeps
-call each layer once per chunk of times (algebra.time_chunks).
+acceptance tests assert the same bounds independently.  Every time-sweep
+check runs sweep.sweep on a SweepConfig, the code path of `simulate` and
+`teleport`; the SweepConfig defaults give the excited pair |ee>,
+lambda = 1 and lambda*t in [0, 10].
 """
 
 from dataclasses import dataclass
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, closedform, exact, states, teleport
+from .sweep import SweepConfig, sweep
 
 __all__ = [
     "CheckResult",
@@ -22,7 +25,6 @@ __all__ = [
 EQUIVALENCE_Q = (0.5, 0.9, 1.0)
 EQUIVALENCE_M = (1, 2)
 EQUIVALENCE_NBAR = (0.0, 10.0)
-T_GRID = np.linspace(0.0, 10.0, 201)
 
 
 @dataclass(frozen=True)
@@ -36,15 +38,6 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-def _excited_pair() -> exact.AtomicInitialState:
-    return exact.AtomicInitialState(1.0, 0.0, 0.0, 0.0)
-
-
-def _config(q: float, m: int, nbar: float):
-    return (algebra.coherent_field(nbar, m),
-            exact.HamiltonianSpec.resonant(1.0, m=m, q=q))
-
-
 def equivalence_grid():
     """The cross-engine comparison grid."""
     for q in EQUIVALENCE_Q:
@@ -53,21 +46,14 @@ def equivalence_grid():
                 yield q, m, nbar
 
 
-def engine_pair_deviation(q: float, m: int, nbar: float,
-                          times=T_GRID) -> float:
+def engine_pair_deviation(q: float, m: int, nbar: float) -> float:
     """Worst per-component difference between the closed-form Bloch
-    representation and the decomposed exact propagator output."""
-    atoms = _excited_pair()
-    field, spec = _config(q, m, nbar)
-    initial = exact.initial_composite_state(atoms, field)
-    prop = exact.Propagator(spec, field.cutoff)
-    worst = 0.0
-    for chunk in algebra.time_chunks(times, field.cutoff):
-        analytic = closedform.evolved_bloch(chunk, atoms, field, spec)
-        reference = states.decompose(
-            exact.reduced_atomic_state(prop.evolve(initial, chunk)))
-        worst = max(worst, np.max(states.max_deviation(analytic, reference)))
-    return worst
+    representation and the decomposed exact propagator output: the
+    largest max_dev of `simulate --engine both`."""
+    config = SweepConfig(engine="both", q_values=(q,), m=m, nbar=nbar)
+    return max(np.max(states.max_deviation(
+        closedform.bloch_from_table(table), states.decompose(reduced)))
+        for _, _, table, reduced in sweep(config))
 
 
 def check_commutator() -> CheckResult:
@@ -108,14 +94,11 @@ def check_coherent_normalization() -> CheckResult:
 
 def check_amplitude_normalization() -> CheckResult:
     """sum_n sum_i |c_n^(i)(t)|^2 stays 1 along the sweep grids."""
-    atoms = _excited_pair()
     worst = 0.0
-    for q in (0.0, 0.5, 0.9):
-        for m in (1, 2):
-            field, spec = _config(q, m, 10.0)
-            for chunk in algebra.time_chunks(T_GRID[::4], field.cutoff):
-                table = closedform.amplitude_table(chunk, atoms, field, spec)
-                worst = max(worst, np.max(np.abs(table.total_weight - 1.0)))
+    for m in (1, 2):
+        config = SweepConfig(q_values=(0.0, 0.5, 0.9), m=m, steps=51)
+        for _, _, table, _ in sweep(config):
+            worst = max(worst, np.max(np.abs(table.total_weight - 1.0)))
     return CheckResult("amplitude-normalization", worst < 1e-9,
                        f"worst deviation {worst:.3e}")
 
@@ -172,17 +155,13 @@ def check_probability_sums() -> CheckResult:
 def check_bob_convention() -> CheckResult:
     """Exactly one branch-state scaling must reproduce the closed-form
     receiver vector along the teleportation sweep."""
-    atoms = _excited_pair()
     unknown = teleport.UnknownQubit.from_bloch((1.0, 0.0, 0.0))
     worst = {"normalized": 0.0, "unnormalized": 0.0}
-    for q in (0.5, 0.9):
-        field, spec = _config(q, 1, 10.0)
-        for chunk in algebra.time_chunks(T_GRID[::4], field.cutoff):
-            table = closedform.amplitude_table(chunk, atoms, field, spec)
-            channel = states.compose(closedform.bloch_from_table(table))
-            report = teleport.compare_bob_conventions(unknown, table, channel)
-            for name in worst:
-                worst[name] = max(worst[name], report[name])
+    for _, _, table, _ in sweep(SweepConfig(q_values=(0.5, 0.9), steps=51)):
+        channel = states.compose(closedform.bloch_from_table(table))
+        report = teleport.compare_bob_conventions(unknown, table, channel)
+        for name in worst:
+            worst[name] = max(worst[name], report[name])
     matches = [name for name, dev in worst.items() if dev < 1e-6]
     passed = len(matches) == 1
     detail = (
@@ -196,14 +175,13 @@ def check_bob_convention() -> CheckResult:
 def check_physicality() -> CheckResult:
     """Every reduced state on the sweep grid is a physical density
     matrix with purity in [1/4, 1]."""
-    atoms = _excited_pair()
     worst_eig = 0.0
     worst_trace = 0.0
     purity_lo, purity_hi = 1.0, 0.25
     for q, m, nbar in equivalence_grid():
-        field, spec = _config(q, m, nbar)
-        for chunk in algebra.time_chunks(T_GRID[::8], field.cutoff):
-            bloch = closedform.evolved_bloch(chunk, atoms, field, spec)
+        config = SweepConfig(q_values=(q,), m=m, nbar=nbar, steps=26)
+        for _, _, table, _ in sweep(config):
+            bloch = closedform.bloch_from_table(table)
             rho = states.compose(bloch)
             worst_eig = min(worst_eig, np.min(np.linalg.eigvalsh(rho.matrix)))
             traces = np.trace(rho.matrix, axis1=-2, axis2=-1).real
@@ -222,18 +200,17 @@ def check_physicality() -> CheckResult:
 def entanglement_minima_info() -> list[str]:
     """Smallest entanglement degree reached for t > 0 on the standard
     sweep; reported as values, not asserted as exact zeros."""
-    atoms = _excited_pair()
     lines = []
     for q in (0.5, 0.9):
-        field, spec = _config(q, 1, 10.0)
+        config = SweepConfig(q_values=(q,))
         values = np.concatenate([
-            states.entanglement_degree(
-                closedform.evolved_bloch(chunk, atoms, field, spec))
-            for chunk in algebra.time_chunks(T_GRID[1:], field.cutoff)])
+            states.entanglement_degree(closedform.bloch_from_table(table))
+            for _, _, table, _ in sweep(config)])[1:]
+        times = config.time_grid[1:]
         lines.append(
             f"INFO entanglement-minimum q={q:g}: "
             f"min {min(values):.6e} at lambda_t="
-            f"{T_GRID[1:][int(np.argmin(values))]:g}")
+            f"{times[int(np.argmin(values))]:g}")
     return lines
 
 

@@ -87,7 +87,7 @@ def test_criterion_03_engine_equivalence():
     propagator on the full parameter grid."""
     worst = 0.0
     for q, m, nbar in equivalence_grid():
-        worst = max(worst, engine_pair_deviation(q, m, nbar, times=T_GRID))
+        worst = max(worst, engine_pair_deviation(q, m, nbar))
     ok = worst < 1e-6
     _report(ok, "criterion-3 engine equivalence",
             f"worst component deviation {worst:.3e} (tol 1e-6)")

@@ -8,9 +8,11 @@ from qdcavity.cli import (
     SweepConfig,
     cmd_simulate,
     cmd_teleport,
+    fmt,
     main,
     parse_complex,
 )
+from qdcavity.validate import engine_pair_deviation
 
 
 def run_cli(args, capsys):
@@ -198,6 +200,15 @@ class TestTeleport:
         assert code == 2
         assert "1.4142135623730951" in err and "np.float64" not in err
 
+    def test_input_state_renormalised_when_close(self, capsys):
+        code, out, err = run_cli(
+            ["teleport", "--alpha", "0.6", "--beta", "0.8000001",
+             "--steps", "2", "--nbar", "0"], capsys)
+        assert code == 0
+        warning = "warning: renormalised unknown-qubit amplitudes"
+        assert err.startswith(warning)
+        assert f"# {warning}" in out
+
     def test_deterministic_output(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -234,6 +245,18 @@ class TestValidateCommand:
         assert "8/8 checks passed" in out
         assert "FAIL" not in out
         assert "INFO entanglement-minimum" in out
+
+    @pytest.mark.parametrize("q,m,nbar", [(0.9, 2, 10.0), (0.5, 1, 0.0),
+                                          (1.0, 1, 10.0)])
+    def test_engine_pair_deviation_is_simulate_max_dev(self, q, m, nbar,
+                                                       capsys):
+        code, out, _ = run_cli(
+            ["simulate", "--engine", "both", "--q", str(q), "--m", str(m),
+             "--nbar", str(nbar)], capsys)
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert fmt(engine_pair_deviation(q, m, nbar)) == fmt(
+            max(float(r["max_dev"]) for r in rows))
 
 
 class TestTimeChunks:
