@@ -8,9 +8,9 @@ teleportation fidelity over the generated two-atom channel.
 __version__ = "0.1.0"
 
 from .algebra import (
-    DeformationParameter,
     FieldSpec,
     TruncationError,
+    check_deformation,
     choose_cutoff,
     coherent_field,
     coherent_weights,
@@ -67,7 +67,6 @@ __all__ = [
     "AtomicInitialState",
     "CompositeState",
     "ConfigurationError",
-    "DeformationParameter",
     "DensityMatrix",
     "FieldSpec",
     "HamiltonianSpec",
@@ -84,6 +83,7 @@ __all__ = [
     "bloch_from_table",
     "bloch_vector",
     "build_hamiltonian",
+    "check_deformation",
     "choose_cutoff",
     "circuit_teleport",
     "closed_form_bob",

@@ -6,7 +6,8 @@ where [n]_q = (1 - q^n)/(1 - q) is the q-number.  q -> 1 recovers the
 ordinary oscillator ([n]_1 = n).  [n]_q is evaluated for every q as
 -expm1(n log1p(-eps))/eps with eps = 1 - q, which keeps full relative
 precision as q -> 1 instead of cancelling in 1 - q^n; q = 1 ([n]_1 = n)
-and q = 0 ([n]_0 = min(n, 1)) are exact special cases.
+and q = 0 ([n]_0 = min(n, 1)) are exact special cases.  q is a plain
+float; check_deformation is the one place that checks it lies in [0, 1].
 """
 
 import math
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DeformationParameter",
     "FieldSpec",
     "TruncationError",
+    "check_deformation",
     "q_number",
     "ladder_elements",
     "coherent_weights",
@@ -37,28 +38,20 @@ class TruncationError(ValueError):
     """Raised when a Fock cutoff cannot hold the requested tail mass."""
 
 
-@dataclass(frozen=True)
-class DeformationParameter:
-    """Deformation strength q in [0, 1]; q = 1 is the undeformed limit."""
-
-    q: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
-
-
-def _as_deformation(q) -> DeformationParameter:
-    if isinstance(q, DeformationParameter):
-        return q
-    return DeformationParameter(float(q))
+def check_deformation(q) -> float:
+    """q as a float, raising unless it lies in [0, 1]; q = 1 is the
+    undeformed limit and q = 0 the strongest deformation."""
+    q = float(q)
+    if not (0.0 <= q <= 1.0):
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    return q
 
 
 def q_number(n: int, q) -> float:
     """[n]_q = (1 - q^n)/(1 - q) = n f(n)^2; [0]_q = 0, [n]_1 = n."""
     if n < 0:
         raise ValueError(f"q_number requires n >= 0, got {n}")
-    eps = 1.0 - _as_deformation(q).q
+    eps = 1.0 - check_deformation(q)
     if eps == 0.0:
         return float(n)
     if eps == 1.0:
@@ -74,8 +67,8 @@ def ladder_elements(cutoff: int, m: int, q) -> np.ndarray:
         raise ValueError(f"ladder_elements requires m >= 1, got {m}")
     if cutoff < 0:
         raise ValueError(f"ladder_elements requires cutoff >= 0, got {cutoff}")
-    qp = _as_deformation(q)
-    numbers = np.array([q_number(n, qp) for n in range(cutoff + 1)])
+    q = check_deformation(q)
+    numbers = np.array([q_number(n, q) for n in range(cutoff + 1)])
     rows = max(cutoff + 1 - m, 0)
     product = numbers[1:1 + rows]
     for j in range(2, m + 1):
@@ -98,18 +91,18 @@ class FieldSpec:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        if self.mean_photons < 0:
-            raise ValueError("mean photon number must be nonnegative")
+        if not 0 <= self.mean_photons < math.inf:
+            raise ValueError("mean photon number must be finite and nonnegative")
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
         if w.shape != (self.cutoff + 1,):
             raise ValueError(
                 f"expected {self.cutoff + 1} weights, got shape {w.shape}"
             )
-        if np.any(w < 0):
+        if not np.all(w >= 0):
             raise ValueError("coherent weights must be nonnegative")
         mass = float(np.sum(w * w))
-        if mass > 1.0 + 1e-12 or mass < 1.0 - self.tail_eps:
+        if not 1.0 - self.tail_eps <= mass <= 1.0 + 1e-12:
             raise TruncationError(
                 f"weight mass {mass!r} outside [1 - {self.tail_eps:g}, 1]"
             )
@@ -132,8 +125,8 @@ def coherent_weights(mean_photons: float, cutoff: int,
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    if mean_photons < 0:
-        raise ValueError("mean photon number must be nonnegative")
+    if not 0 <= mean_photons < math.inf:
+        raise ValueError("mean photon number must be finite and nonnegative")
     if not (0.0 < tail_eps <= 1e-3):
         raise ValueError("tail_eps must lie in (0, 1e-3]")
     if mean_photons == 0:
@@ -146,7 +139,7 @@ def coherent_weights(mean_photons: float, cutoff: int,
         - mean_photons / 2.0
     w = np.exp(log_w)
     mass = float(np.sum(w * w))
-    if mass < 1.0 - tail_eps:
+    if not mass >= 1.0 - tail_eps:
         raise TruncationError(
             f"cutoff {cutoff} keeps squared mass {mass:.15f}; tail "
             f"{1.0 - mass:.3e} exceeds tail_eps {tail_eps:g}"
@@ -167,8 +160,8 @@ def choose_cutoff(mean_photons: float, m: int, tail_eps: float = 1e-12) -> int:
         raise ValueError("m must be at least 1")
     if not (0.0 < tail_eps <= 1e-3):
         raise ValueError("tail_eps must lie in (0, 1e-3]")
-    if mean_photons < 0:
-        raise ValueError("mean photon number must be nonnegative")
+    if not 0 <= mean_photons < math.inf:
+        raise ValueError("mean photon number must be finite and nonnegative")
     if mean_photons == 0:
         return 2 * m
     # Extend until the terms are negligible, then locate the tail cut.

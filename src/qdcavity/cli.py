@@ -53,15 +53,12 @@ def parse_complex(text: str) -> complex:
 
 
 def fmt(value: float) -> str:
-    v = float(value)
-    if v == 0.0:
-        v = 0.0  # normalise -0.0
-    return f"{v:.12g}"
+    return f"{float(value) or 0.0:.12g}"  # `or` turns -0.0 into 0.0
 
 
 def fmt_complex(value: complex) -> str:
     z = complex(value)
-    return f"{fmt(z.real)}{z.imag:+.12g}i"
+    return f"{fmt(z.real)}{z.imag or 0.0:+.12g}i"
 
 
 def _floats(value) -> tuple[float, ...]:
@@ -78,7 +75,8 @@ def _atoms(text: str) -> tuple[complex, ...]:
 
 # Config key -> (SweepConfig field, parser).  The key is also the dest of
 # its flag, so a value comes from the flag, then the --config file, then
-# the --fig preset; a key none of them sets keeps the field's default.
+# the --fig preset; a key none of them sets keeps the field's default.  A
+# subcommand accepts exactly the keys its parser has flags for.
 CONFIG_KEYS = {
     "engine": ("engine", str),
     "q": ("q_values", _floats),
@@ -94,7 +92,7 @@ CONFIG_KEYS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, accepted: list[str]) -> dict:
     values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -104,28 +102,29 @@ def _read_config_file(path: str) -> dict:
             raise ValueError(f"bad config line {raw!r} (expected key=value)")
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
-    unknown = sorted(set(values) - set(CONFIG_KEYS))
+    unknown = sorted(set(values) - set(accepted))
     if unknown:
         raise ValueError(
             f"unknown config key(s) {', '.join(unknown)} in {path}; "
-            f"accepted keys: {', '.join(CONFIG_KEYS)}")
+            f"accepted keys: {', '.join(accepted)}")
     return values
 
 
 def _resolve(args: argparse.Namespace, command: str) -> SweepConfig:
-    file_values = _read_config_file(args.config) if args.config else {}
-    preset = dict(FIG_PRESETS.get(args.fig or "", {}))
-    if preset and preset.pop("command") != command:
-        raise ValueError(
-            f"preset {args.fig!r} belongs to the other subcommand")
+    """The SweepConfig of `command`, whose parser produced args and has
+    already restricted --fig to that command's presets."""
+    accepted = [key for key in CONFIG_KEYS if hasattr(args, key)]
+    file_values = _read_config_file(args.config, accepted) if args.config else {}
+    preset = FIG_PRESETS.get(args.fig, {})
     fields = {}
-    for key, (name, parse) in CONFIG_KEYS.items():
-        for value in (getattr(args, key, None), file_values.get(key),
+    for key in accepted:
+        name, parse = CONFIG_KEYS[key]
+        for value in (getattr(args, key), file_values.get(key),
                       preset.get(key)):
             if value is not None:
                 fields[name] = parse(value)
                 break
-    return SweepConfig(**fields, out=args.out, fig=args.fig)
+    return SweepConfig(**fields, fig=args.fig)
 
 
 def _provenance(config: SweepConfig, command: str) -> list[str]:
@@ -240,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"qdcavity {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, figs):
+    def add_sweep(command, help):
+        p = sub.add_parser(command, help=help)
         p.add_argument("--engine", choices=("closed", "exact", "both"))
         p.add_argument("--q", action="append", type=float,
                        help="deformation parameter, repeatable")
@@ -255,15 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coherent tail tolerance")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--config", help="key=value file; flags override it")
-        p.add_argument("--fig", choices=figs, help="preset parameter set")
+        p.add_argument("--fig", help="preset parameter set",
+                       choices=[fig for fig, preset in FIG_PRESETS.items()
+                                if preset["command"] == command])
+        return p
 
-    sim = sub.add_parser("simulate",
-                         help="Bloch-vector/entanglement time sweep (CSV)")
-    add_common(sim, ("1a", "1b", "2a", "2b"))
-
-    tele = sub.add_parser("teleport",
-                          help="teleportation fidelity sweep (CSV)")
-    add_common(tele, ("3a", "3b"))
+    add_sweep("simulate", "Bloch-vector/entanglement time sweep (CSV)")
+    tele = add_sweep("teleport", "teleportation fidelity sweep (CSV)")
     tele.add_argument("--alpha", help="input amplitude on |e>")
     tele.add_argument("--beta", help="input amplitude on |g>")
 
@@ -276,16 +274,17 @@ def main(argv=None) -> int:
     if args.command == "validate":
         return cmd_validate(sys.stdout)
     runner = cmd_simulate if args.command == "simulate" else cmd_teleport
-    # UnsupportedConfigurationError is a ValueError too.
+    # UnsupportedConfigurationError is a ValueError too; OSError covers a
+    # missing --config file or --out directory.
     try:
         config = _resolve(args, args.command)
         for warning in config.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        if config.out:
-            with open(config.out, "w", newline="\n") as handle:
+        if args.out:
+            with open(args.out, "w", newline="\n") as handle:
                 return runner(config, handle)
         return runner(config, sys.stdout)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

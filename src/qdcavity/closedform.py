@@ -179,7 +179,7 @@ def _amplitude_arrays(t, atoms: AtomicInitialState, field: FieldSpec,
     w_nm = np.concatenate([np.zeros(m), w_n2m[:-m]])
     w_n = np.concatenate([np.zeros(2 * m), w_n2m[:-2 * m]])
 
-    nu1, nu2, mu = _cached_couplings(field.cutoff, m, spec.lambda1, spec.q.q)
+    nu1, nu2, mu = _cached_couplings(field.cutoff, m, spec.lambda1, spec.q)
 
     # Frozen manifolds have mu = 0; there sin(2 mu t)/(2 mu) -> t and
     # sin^2(mu t)/mu^2 -> t^2, both multiplied by vanishing couplings.

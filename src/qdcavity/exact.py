@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    DeformationParameter,
-    FieldSpec,
-    _as_deformation,
-    ladder_elements,
-    q_number,
-)
+from .algebra import FieldSpec, check_deformation, ladder_elements, q_number
 
 __all__ = [
     "ATOMIC_LABELS",
@@ -65,14 +59,16 @@ class HamiltonianSpec:
     lambda1: float
     lambda2: float
     m: int
-    q: DeformationParameter
+    q: float
     detuning: float = 0.0
     field_freq: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _as_deformation(self.q))
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ConfigurationError("coupling constants must be positive")
+        object.__setattr__(self, "q", check_deformation(self.q))
+        if not (0 < self.lambda1 < np.inf and 0 < self.lambda2 < np.inf):
+            raise ConfigurationError(
+                "coupling constants lambda1, lambda2 must be finite and "
+                "positive")
         if self.m < 1:
             raise ConfigurationError("photon multiplicity m must be >= 1")
 
@@ -84,8 +80,7 @@ class HamiltonianSpec:
     @classmethod
     def resonant(cls, coupling: float, m: int = 1, q=1.0) -> "HamiltonianSpec":
         """Equal couplings at zero detuning, the analytically solved case."""
-        return cls(lambda1=coupling, lambda2=coupling, m=m,
-                   q=_as_deformation(q))
+        return cls(lambda1=coupling, lambda2=coupling, m=m, q=q)
 
     @property
     def symmetric_resonant(self) -> bool:
@@ -103,7 +98,7 @@ class AtomicInitialState:
 
     def __post_init__(self):
         norm_sq = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:
             raise ValueError(
                 f"amplitudes must be normalised, |a|^2 = {norm_sq!r}"
             )
@@ -154,10 +149,10 @@ class DensityMatrix:
         if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
             raise PhysicalityError(f"expected a square matrix, got {rho.shape}")
         herm_dev = float(np.max(np.abs(rho - rho.conj().mT)))
-        if herm_dev > _HERMITICITY_TOL:
+        if not herm_dev <= _HERMITICITY_TOL:
             raise PhysicalityError(f"matrix not Hermitian, deviation {herm_dev:.3e}")
         trace_dev = float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)))
-        if trace_dev > _TRACE_TOL:
+        if not trace_dev <= _TRACE_TOL:
             raise PhysicalityError(f"trace deviates from 1 by {trace_dev:.3e}")
         min_eig = np.ravel(np.linalg.eigvalsh((rho + rho.conj().mT) / 2.0)[..., 0])
         warnings = tuple(f"negative eigenvalue {value:.3e} below floor"
@@ -188,7 +183,7 @@ class CompositeState:
                 f"expected shape (..., 4, {self.cutoff + 1}), got {amp.shape}"
             )
         norm_dev = np.max(np.abs(np.linalg.norm(amp, axis=(-2, -1)) - 1.0))
-        if norm_dev > _NORM_TOL:
+        if not norm_dev <= _NORM_TOL:
             raise ValueError(f"composite state norm off 1 by {norm_dev:.3e}")
 
 
@@ -275,7 +270,7 @@ class Propagator:
         """psi(t) = exp(-i H t) psi(0), one stack of blocks at a time, at
         one time t or at each time of a 1-D array (a stack of states)."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
+        if not np.all(t >= 0):
             raise ValueError("evolution time must be nonnegative")
         if state.cutoff != self.cutoff:
             raise ConfigurationError("state cutoff does not match propagator")

@@ -1,6 +1,8 @@
 """The one time sweep behind `simulate`, `teleport` and `validate`: a
 checked SweepConfig, and sweep(), which walks its time grid per q value
 in chunks of times (algebra.time_chunks) through one engine or both.
+SweepConfig holds only values a run reads; its checks reject every
+out-of-range or non-finite value before a caller writes anything.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -25,23 +27,21 @@ class SweepConfig:
     alpha: complex = complex(1 / np.sqrt(2.0))
     beta: complex = complex(1 / np.sqrt(2.0))
     tail_eps: float = 1e-12
-    out: str | None = None
     fig: str | None = None
-    warnings: list[str] = dataclass_field(default_factory=list)
+    warnings: list[str] = dataclass_field(default_factory=list, init=False)
 
     def __post_init__(self):
         if self.engine not in ("closed", "exact", "both"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.t_max < np.inf:
+            raise ValueError("t_max must be finite and positive")
         self.atoms = self._normalised("atomic", self.atoms)
-        # A bad value must fail here, before any output or --out file exists.
+        # A bad value must fail here, before any output or --out file
+        # exists; HamiltonianSpec checks lambda, m and each q.
         for q in self.q_values:
-            algebra.DeformationParameter(q)
+            self.hamiltonian(q)
         self._field = algebra.coherent_field(self.nbar, self.m, self.tail_eps)
         self._unknown = teleport.UnknownQubit(*map(complex, self._normalised(
             "unknown-qubit", (self.alpha, self.beta))))
@@ -51,7 +51,7 @@ class SweepConfig:
         rejected, one more than 1e-15 from 1 is reported, and exactly 1
         leaves them as given (dividing by 1 can flip a signed zero)."""
         norm = float(np.linalg.norm(np.asarray(amplitudes, dtype=complex)))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:
             raise ValueError(
                 f"{name} amplitudes have norm {norm!r}; renormalisation is "
                 "only applied for deviations below 1e-6")

@@ -54,7 +54,7 @@ class UnknownQubit:
 
     def __post_init__(self):
         norm_sq = float(abs(self.alpha) ** 2 + abs(self.beta) ** 2)
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:
             raise ValueError(f"input not normalised, |alpha|^2+|beta|^2={norm_sq!r}")
 
     @property
@@ -75,7 +75,7 @@ class UnknownQubit:
         """Pure state with the given unit Bloch vector."""
         sx, sy, sz = (float(v) for v in np.asarray(su, dtype=float))
         norm = float(np.sqrt(sx * sx + sy * sy + sz * sz))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"pure input needs |su| = 1, got {norm!r}")
         alpha = np.sqrt(max((1.0 + sz) / 2.0, 0.0))
         if alpha < 1e-12:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdcavity import (
-    DeformationParameter,
     TruncationError,
+    check_deformation,
     choose_cutoff,
     HamiltonianSpec,
     coherent_field,
@@ -59,9 +59,15 @@ class TestQNumber:
 
     def test_rejects_q_outside_range(self):
         with pytest.raises(ValueError):
-            DeformationParameter(-0.1)
+            check_deformation(-0.1)
         with pytest.raises(ValueError):
-            DeformationParameter(1.1)
+            check_deformation(1.1)
+
+    def test_check_deformation_returns_float_and_rejects_nan(self):
+        assert type(check_deformation(np.float64(0.5))) is float
+        assert check_deformation(1) == 1.0
+        with pytest.raises(ValueError):
+            check_deformation(math.nan)
 
     def test_limit_continuity(self):
         for n in range(1, 101):
@@ -245,6 +251,13 @@ class TestChooseCutoff:
     def test_rejects_bad_tail_eps(self):
         with pytest.raises(ValueError):
             choose_cutoff(1.0, 1, 2e-3)
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    def test_rejects_non_finite_nbar(self, nbar):
+        with pytest.raises(ValueError, match="finite"):
+            choose_cutoff(nbar, 1)
+        with pytest.raises(ValueError, match="finite"):
+            coherent_weights(nbar, 30)
 
     def test_coherent_field_truncates_at_chosen_cutoff(self):
         for nbar, m, tail_eps in ((0.0, 1, 1e-12), (10.0, 2, 1e-12),

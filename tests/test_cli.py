@@ -9,6 +9,7 @@ from qdcavity.cli import (
     cmd_simulate,
     cmd_teleport,
     fmt,
+    fmt_complex,
     main,
     parse_complex,
 )
@@ -35,6 +36,19 @@ class TestParsing:
         assert parse_complex("1+2j") == 1 + 2j
         with pytest.raises(ValueError):
             parse_complex("one")
+
+    def test_signed_zeros_print_unsigned(self):
+        assert fmt(-0.0) == "0"
+        assert fmt_complex(complex(0.6, -0.0)) == "0.6+0i"
+        assert fmt_complex(complex(-0.0, -0.0)) == "0+0i"
+        assert fmt_complex(complex(0.6, -0.5)) == "0.6-0.5i"
+
+    def test_input_echo_drops_signed_zero(self, capsys):
+        code, out, _ = run_cli(
+            ["teleport", "--alpha", "0.6-0i", "--beta", "0.8", "--steps", "2",
+             "--nbar", "0"], capsys)
+        assert code == 0
+        assert "# alpha=0.6+0i beta=0.8+0i" in out
 
     def test_atoms_norm_rejected_when_far_off(self, capsys):
         code, _, err = run_cli(
@@ -84,6 +98,31 @@ class TestConfigFile:
         assert out == ""
         assert "lambda, nbarr" in err
         assert "accepted keys: engine, q, m, nbar, lam, t_max" in err
+
+    def test_keys_follow_the_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=1\nbeta=0\n")
+        code, out, err = run_cli(
+            ["simulate", "--config", str(cfg), "--steps", "2", "--nbar", "0"],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert "unknown config key(s) alpha, beta" in err
+        assert err.rstrip().endswith(
+            "accepted keys: engine, q, m, nbar, lam, t_max, steps, atoms, "
+            "tail_eps")
+        code, out, _ = run_cli(
+            ["teleport", "--config", str(cfg), "--steps", "2", "--nbar", "0"],
+            capsys)
+        assert code == 0
+        assert "# alpha=1+0i beta=0+0i" in out
+
+    def test_missing_file_exits_cleanly(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code, out, err = run_cli(["simulate", "--config", str(missing)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "missing.cfg" in err
 
 
 class TestSimulate:
@@ -298,7 +337,13 @@ class TestBadConfigWritesNothing:
         ["simulate", "--nbar", "-1"],
         ["simulate", "--m", "0"],
         ["teleport", "--alpha", "1", "--beta", "1"],
-    ], ids=["q-out-of-range", "negative-nbar", "zero-m", "unnormalised-input"])
+        ["simulate", "--t-max", "nan", "--steps", "3"],
+        ["simulate", "--lambda", "inf", "--steps", "3"],
+        ["simulate", "--nbar", "nan", "--steps", "3"],
+        ["simulate", "--atoms", "nan,0,0,0", "--steps", "3"],
+        ["teleport", "--alpha", "nan", "--beta", "0", "--steps", "3"],
+    ], ids=["q-out-of-range", "negative-nbar", "zero-m", "unnormalised-input",
+            "nan-t-max", "inf-lambda", "nan-nbar", "nan-atoms", "nan-alpha"])
     def test_no_output_and_no_file(self, argv, tmp_path, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == "" and err.startswith("error:")
@@ -306,3 +351,12 @@ class TestBadConfigWritesNothing:
         code, out, _ = run_cli(argv + ["--out", str(path)], capsys)
         assert code == 2 and out == ""
         assert not path.exists()
+
+    def test_missing_out_directory_exits_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "x.csv"
+        code, out, err = run_cli(
+            ["simulate", "--steps", "2", "--nbar", "0", "--out", str(path)],
+            capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "missing-dir" in err
+        assert not path.parent.exists()

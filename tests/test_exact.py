@@ -37,11 +37,16 @@ class TestHamiltonianSpec:
     def test_resonant_constructor(self):
         spec = HamiltonianSpec.resonant(1.0, m=2, q=0.5)
         assert spec.symmetric_resonant
-        assert spec.m == 2 and spec.q.q == 0.5
+        assert spec.m == 2 and spec.q == 0.5
 
     def test_rejects_nonpositive_coupling(self):
         with pytest.raises(ConfigurationError):
             HamiltonianSpec(lambda1=0.0, lambda2=1.0, m=1, q=1.0)
+
+    @pytest.mark.parametrize("coupling", [math.nan, math.inf])
+    def test_rejects_non_finite_coupling(self, coupling):
+        with pytest.raises(ConfigurationError, match="lambda"):
+            HamiltonianSpec.resonant(coupling)
 
     def test_atom_freq_consistency(self):
         spec = HamiltonianSpec(1.0, 1.0, 1, 1.0, detuning=0.5, field_freq=2.0)

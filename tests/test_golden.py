@@ -1,5 +1,6 @@
 """Golden SHA-256 hashes of the six figure presets, each run with
-`--engine closed` and with `--engine both`, and of the `validate` report.
+`--engine closed`, `--engine exact` and `--engine both`, and of the
+`validate` report.
 
 Every refactor or performance change must keep these bytes identical.
 A version bump (the provenance header carries the version) or a
@@ -26,6 +27,12 @@ GOLDEN = {
     ("3a", "both"): "85909231001b856b86b92f794950a93b0d9e961f4da44229ce62bd6d13ef8dde",
     ("3b", "closed"): "8789462f4fab6cd6369f98ac506f0369f32aa181f3538d2647f56617b07a81fd",
     ("3b", "both"): "4552b84ca8a2be9871532e9206af14c6327905ee6df1172a5642dfebd2a94fef",
+    ("1a", "exact"): "3afa60c817c7ae1acd43c0f77e2e18e1b6379dc33a1c27008679fb8d3572793a",
+    ("1b", "exact"): "44d6ce0b1af18c5c40e8633e9bdde26474a796edad0fd791e102cf7acdc86568",
+    ("2a", "exact"): "7da3293211cf3402cdc70710e4a89a2874ddaab554daadbd1f1a0bb1540532dc",
+    ("2b", "exact"): "064af7e04383e14c18470544866de8d54c01b3bb887538e3f2ef97fc966f18ef",
+    ("3a", "exact"): "87615dcf65a5f6be6e021c6dc1fc9305d5c2c0f26c898a6364dc364a469c7295",
+    ("3b", "exact"): "86579abbf8bd3e438bd92cc1dbe12bdb524699b3193401338c1a0fed47cde400",
 }
 
 VALIDATE_GOLDEN = "c6578bcf99a2834302436330f499d49f51b3d4ec0116fd12ddcd05fee6e437d9"

@@ -1,8 +1,10 @@
-"""The benchmark harness under perfbench/ wraps named qdcavity functions
-and calls a few of them with one time point.  These tests fail when a
-rename or a change of scalar return shapes would break it."""
+"""The benchmark harness under perfbench/ wraps named qdcavity functions,
+calls a few of them with one time point and rebuilds each workload's
+sweep through cli._resolve.  These tests fail when a rename, a change of
+scalar return shapes or of the resolved config would break it."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +12,21 @@ import pytest
 
 from qdcavity import (
     AtomicInitialState,
+    FieldSpec,
     HamiltonianSpec,
     Propagator,
     choose_cutoff,
+    cli,
     coherent_weights,
     evolved_bloch,
     initial_composite_state,
 )
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+SWEEP_ARGVS = [op["argv"] for workload in json.loads(
+    (PERFBENCH / "workloads.json").read_text())["workloads"].values()
+    for op in workload["ops"] if op["argv"][0] != "validate"]
 
 
 def load_tracing():
@@ -49,3 +57,20 @@ def test_scalar_time_shapes(nbar):
     evolved = Propagator(spec, cutoff).evolve(
         initial_composite_state(atoms, field), t)
     assert evolved.amplitudes.shape == (4, cutoff + 1)
+
+
+@pytest.mark.parametrize("template", SWEEP_ARGVS,
+                         ids=[" ".join(argv[:3]) for argv in SWEEP_ARGVS])
+def test_workload_argv_resolves(template):
+    # perfbench/gate.py rebuilds each sweep through cli._resolve and reads
+    # these attributes of the config to cross-check its rows.
+    argv = [arg.format(q1="0.3", q2="0.8", atoms="0.6,0,0,0.8i")
+            for arg in template]
+    config = cli._resolve(cli.build_parser().parse_args(argv), argv[0])
+    assert config.engine in ("closed", "exact")
+    assert config.q_values and config.steps >= 2 and config.lam > 0
+    assert config.time_grid.shape == (config.steps,)
+    assert isinstance(config.field(), FieldSpec)
+    assert isinstance(config.atomic_state(), AtomicInitialState)
+    for q in config.q_values:
+        assert config.hamiltonian(q).q == q

@@ -13,8 +13,8 @@ MODULES = tuple(sorted(info.name for info in
                        pkgutil.iter_modules(qdcavity.__path__)
                        if info.name != "__main__"))
 
-DELETED = ("LadderCouplings", "deformation_factor", "ladder_couplings",
-           "propagate", "q_factorial_ratio")
+DELETED = ("DeformationParameter", "LadderCouplings", "deformation_factor",
+           "ladder_couplings", "propagate", "q_factorial_ratio")
 
 
 @pytest.mark.parametrize("name", MODULES)
