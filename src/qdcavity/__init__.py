@@ -18,13 +18,11 @@ from .algebra import (
     q_number,
 )
 from .closedform import (
-    AmplitudeQuadruple,
     AmplitudeTable,
     UnsupportedConfigurationError,
     amplitude_table,
     bloch_from_table,
     evolved_bloch,
-    initial_bloch,
 )
 from .exact import (
     AtomicInitialState,
@@ -40,14 +38,12 @@ from .exact import (
 )
 from .states import (
     TwoQubitBlochState,
-    WernerParameters,
     bloch_vector,
     compose,
     decompose,
     entanglement_degree,
     negativity,
     purity,
-    werner_parameters,
 )
 from .teleport import (
     TeleportOutcome,
@@ -62,7 +58,6 @@ from .teleport import (
 
 __all__ = [
     "__version__",
-    "AmplitudeQuadruple",
     "AmplitudeTable",
     "AtomicInitialState",
     "CompositeState",
@@ -77,7 +72,6 @@ __all__ = [
     "TwoQubitBlochState",
     "UnknownQubit",
     "UnsupportedConfigurationError",
-    "WernerParameters",
     "amplitude_table",
     "average_fidelity",
     "bloch_from_table",
@@ -96,12 +90,10 @@ __all__ = [
     "evolved_bloch",
     "fidelity_overlap",
     "fidelity_paper",
-    "initial_bloch",
     "initial_composite_state",
     "ladder_elements",
     "negativity",
     "purity",
     "q_number",
     "reduced_atomic_state",
-    "werner_parameters",
 ]

@@ -107,12 +107,6 @@ class FieldSpec:
                 f"weight mass {mass!r} outside [1 - {self.tail_eps:g}, 1]"
             )
 
-    def amplitude(self, n: int) -> float:
-        """W_n, zero outside the truncated range."""
-        if 0 <= n <= self.cutoff:
-            return float(self.weights[n])
-        return 0.0
-
 
 def coherent_weights(mean_photons: float, cutoff: int,
                      tail_eps: float = 1e-12) -> FieldSpec:

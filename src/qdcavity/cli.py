@@ -147,15 +147,24 @@ def _provenance(config: SweepConfig, command: str) -> list[str]:
     return lines
 
 
+def _report_positivity(warnings: list[str]) -> None:
+    """One stderr line for the positivity warnings of a sweep's states."""
+    if warnings:
+        print(f"warning: {len(warnings)} non-positive state(s), first: "
+              f"{warnings[0]}", file=sys.stderr)
+
+
 def cmd_simulate(config: SweepConfig, stream) -> int:
     columns = SIMULATE_COLUMNS + (("max_dev",) if config.engine == "both" else ())
     for line in _provenance(config, "simulate"):
         print(line, file=stream)
     print(",".join(columns), file=stream)
+    warnings = []
     for q, times, table, reduced in sweep(config):
         bloch = (states.decompose(reduced) if table is None
                  else closedform.bloch_from_table(table))
         rho = states.compose(bloch)
+        warnings.extend(rho.warnings)
         values = [
             config.lam * times, np.full(times.shape, q), bloch.s, bloch.t,
             np.sqrt(np.linalg.vecdot(bloch.s, bloch.s)),
@@ -168,6 +177,7 @@ def cmd_simulate(config: SweepConfig, stream) -> int:
                 bloch, states.decompose(reduced)))
         for row in np.column_stack(values):
             print(",".join(fmt(v) for v in row), file=stream)
+    _report_positivity(warnings)
     return 0
 
 
@@ -187,6 +197,7 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
           file=stream)
     columns = TELEPORT_COLUMNS + (("max_dev",) if config.engine == "both" else ())
     print(",".join(columns), file=stream)
+    warnings = []
     for q, times, table, reduced in sweep(config):
         channel = (reduced if table is None
                    else states.compose(closedform.bloch_from_table(table)))
@@ -194,8 +205,10 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
         f_avg = teleport.average_fidelity(outcomes, unknown)
         exact_outcomes = (teleport.circuit_teleport(reduced, unknown)
                           if config.engine == "both" else None)
+        warnings.extend(channel.warnings)
         branches = []
         for index, outcome in enumerate(outcomes):
+            warnings.extend(outcome.bob_state.warnings)
             if outcome.outcome_label == "ee" and table is not None:
                 sb_weighted = teleport.closed_form_bob(unknown, table)
             else:
@@ -213,6 +226,7 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
             for label, row in zip(teleport.OUTCOME_LABELS, per_time):
                 print(",".join([fmt(config.lam * t), fmt(q), label,
                                 *(fmt(v) for v in row)]), file=stream)
+    _report_positivity(warnings)
     return 0
 
 

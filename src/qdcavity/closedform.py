@@ -17,7 +17,6 @@ of one time puts a leading time axis on every result.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +25,11 @@ from .exact import AtomicInitialState, HamiltonianSpec
 from .states import TwoQubitBlochState
 
 __all__ = [
-    "AmplitudeQuadruple",
     "AmplitudeTable",
     "UnsupportedConfigurationError",
     "amplitude_table",
     "bloch_from_table",
     "evolved_bloch",
-    "initial_bloch",
 ]
 
 
@@ -50,38 +47,13 @@ def _require_closed_form(spec: HamiltonianSpec):
         )
 
 
-@dataclass(frozen=True)
-class AmplitudeQuadruple:
-    """Amplitudes of one manifold: c1 on |ee,n>, c2 on |eg,n+m>,
-    c3 on |ge,n+m>, c4 on |gg,n+2m>."""
-
-    n: int
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-
-    @property
-    def weight(self) -> float:
-        return (abs(self.c1) ** 2 + abs(self.c2) ** 2
-                + abs(self.c3) ** 2 + abs(self.c4) ** 2)
-
-
 class AmplitudeTable:
-    """Amplitude quadruples for every manifold index in [-2m, n_top]."""
+    """Manifold amplitudes c, of shape ([T,] 4, cutoff + 1): row i holds
+    c^(i+1), and column n + 2m holds manifold n, for n from -2m."""
 
-    def __init__(self, m: int, n_top: int, c: np.ndarray):
+    def __init__(self, m: int, c: np.ndarray):
         self.m = m
-        self.n_min = -2 * m
-        self.n_top = n_top
-        self.c = c  # shape ([T,] 4, n_top + 2m + 1), row i holds c^(i+1)
-
-    def quadruple(self, n: int) -> AmplitudeQuadruple:
-        if not (self.n_min <= n <= self.n_top):
-            raise IndexError(f"manifold index {n} outside table range")
-        i = n - self.n_min
-        return AmplitudeQuadruple(
-            n, *(self.c[..., row, i][()] for row in range(4)))
+        self.c = c
 
     def correlation(self, i: int, j: int, shift: int) -> complex:
         """sum_n c^(i)_n conj(c^(j)_{n-shift}) with shift >= 0."""
@@ -114,41 +86,6 @@ class AmplitudeTable:
     @property
     def total_weight(self) -> float:
         return np.sum(self.c.real**2 + self.c.imag**2, axis=(-2, -1))
-
-
-def initial_bloch(atoms: AtomicInitialState) -> TwoQubitBlochState:
-    """Bloch vectors and cross dyadic of the pure two-atom input, written
-    out as the explicit amplitude products."""
-    a1, a2, a3, a4 = atoms.amplitudes
-
-    def re2(x, y):
-        return 2.0 * (x * np.conj(y)).real
-
-    def im2(x, y):
-        return 2.0 * (x * np.conj(y)).imag
-
-    s = np.array([
-        re2(a1, a3) + re2(a2, a4),
-        im2(a1, a3) + im2(a2, a4),
-        abs(a1) ** 2 + abs(a2) ** 2 - abs(a3) ** 2 - abs(a4) ** 2,
-    ])
-    t = np.array([
-        re2(a1, a2) + re2(a3, a4),
-        im2(a1, a2) + im2(a3, a4),
-        abs(a1) ** 2 - abs(a2) ** 2 + abs(a3) ** 2 - abs(a4) ** 2,
-    ])
-    cross = np.array([
-        [re2(a1, a4) + re2(a2, a3),
-         im2(a1, a4) - im2(a2, a3),
-         re2(a1, a3) - re2(a2, a4)],
-        [im2(a1, a4) + im2(a2, a3),
-         re2(a2, a3) - re2(a1, a4),
-         im2(a1, a3) - im2(a2, a4)],
-        [re2(a1, a2) - re2(a3, a4),
-         im2(a1, a2) - im2(a3, a4),
-         abs(a1) ** 2 - abs(a2) ** 2 - abs(a3) ** 2 + abs(a4) ** 2],
-    ])
-    return TwoQubitBlochState(s=s, t=t, cross=cross)
 
 
 @functools.lru_cache(maxsize=128)
@@ -207,14 +144,10 @@ def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
     go through the exact propagator.
     """
     _require_closed_form(spec)
-    m = spec.m
-    n_top = field.cutoff - 2 * m
-    if n_top < 0:
+    if field.cutoff < 2 * spec.m:
         raise UnsupportedConfigurationError(
-            f"cutoff {field.cutoff} below one manifold span 2m = {2 * m}"
-        )
-    c = _amplitude_arrays(t, atoms, field, spec)
-    return AmplitudeTable(m=m, n_top=n_top, c=c)
+            f"cutoff {field.cutoff} below one manifold span 2m = {2 * spec.m}")
+    return AmplitudeTable(spec.m, _amplitude_arrays(t, atoms, field, spec))
 
 
 def evolved_bloch(t, atoms: AtomicInitialState, field: FieldSpec,

@@ -17,7 +17,6 @@ import numpy as np
 from .algebra import FieldSpec, check_deformation, ladder_elements, q_number
 
 __all__ = [
-    "ATOMIC_LABELS",
     "AtomicInitialState",
     "CompositeState",
     "ConfigurationError",
@@ -30,8 +29,6 @@ __all__ = [
     "initial_composite_state",
     "reduced_atomic_state",
 ]
-
-ATOMIC_LABELS = ("ee", "eg", "ge", "gg")
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
@@ -112,15 +109,6 @@ class AtomicInitialState:
     def vector(self) -> np.ndarray:
         return np.array(self.amplitudes, dtype=complex)
 
-    @classmethod
-    def normalized(cls, a1, a2, a3, a4) -> "AtomicInitialState":
-        v = np.array([a1, a2, a3, a4], dtype=complex)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValueError("cannot normalise the zero vector")
-        v = v / norm
-        return cls(*v)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -133,10 +121,6 @@ class DensityMatrix:
     def __post_init__(self):
         object.__setattr__(self, "matrix",
                            np.asarray(self.matrix, dtype=complex))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
 
     @classmethod
     def from_matrix(cls, matrix, *, positivity: str = "raise") -> "DensityMatrix":
@@ -257,7 +241,6 @@ class Propagator:
     """
 
     def __init__(self, spec: HamiltonianSpec, cutoff: int):
-        self.spec = spec
         self.cutoff = cutoff
         hamiltonian = build_hamiltonian(spec, cutoff)
         self._stacks = []

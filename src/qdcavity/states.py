@@ -1,5 +1,5 @@
 """Two-qubit state analysis: Bloch/dyadic decomposition, purity, the
-entanglement-dyadic measure and Werner-form detection.
+entanglement-dyadic measure and the negativity.
 
 Axis convention: the y Pauli matrix is taken as [[0, i], [-i, 0]], the
 mirror image of the more common sign.  All Bloch components, dyadic
@@ -20,7 +20,6 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "TwoQubitBlochState",
-    "WernerParameters",
     "bloch_vector",
     "compose",
     "decompose",
@@ -28,7 +27,6 @@ __all__ = [
     "max_deviation",
     "negativity",
     "purity",
-    "werner_parameters",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -61,18 +59,6 @@ class TwoQubitBlochState:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "cross", cross)
-
-
-@dataclass(frozen=True)
-class WernerParameters:
-    """Diagonal dyadic components of a Werner-form candidate plus the
-    residual weight sitting outside that form."""
-
-    x1: float
-    x2: float
-    x3: float
-    is_werner: bool
-    residual: float
 
 
 def decompose(rho) -> TwoQubitBlochState:
@@ -132,30 +118,6 @@ def entanglement_degree(state: TwoQubitBlochState) -> float:
     """
     excess = state.cross - state.s[..., :, None] * state.t[..., None, :]
     return np.sum(excess * excess, axis=(-2, -1))
-
-
-def werner_parameters(state: TwoQubitBlochState,
-                      tol: float = 1e-6) -> WernerParameters:
-    """Detect the Werner form rho = (1 + sum_i x_i sigma_i tau_i)/4.
-
-    The residual is the largest magnitude among both Bloch vectors and
-    the off-diagonal dyadic entries; the state is within the form when
-    the residual stays below tol.
-    """
-    off = state.cross - np.diag(np.diag(state.cross))
-    residual = max(
-        float(np.max(np.abs(state.s))),
-        float(np.max(np.abs(state.t))),
-        float(np.max(np.abs(off))),
-    )
-    diag = np.diag(state.cross)
-    return WernerParameters(
-        x1=float(diag[0]),
-        x2=float(diag[1]),
-        x3=float(diag[2]),
-        is_werner=residual < tol,
-        residual=residual,
-    )
 
 
 def negativity(rho) -> float:

@@ -37,6 +37,8 @@ class SweepConfig:
             raise ValueError("steps must be at least 2")
         if not 0 < self.t_max < np.inf:
             raise ValueError("t_max must be finite and positive")
+        if not self.q_values:
+            raise ValueError("q_values must hold at least one q")
         self.atoms = self._normalised("atomic", self.atoms)
         # A bad value must fail here, before any output or --out file
         # exists; HamiltonianSpec checks lambda, m and each q.

@@ -192,18 +192,13 @@ def average_fidelity(outcomes: list[TeleportOutcome],
 def compare_bob_conventions(unknown: UnknownQubit, table: AmplitudeTable,
                             channel) -> dict:
     """Deviations of the closed-form receiver vector from the circuit's
-    ee branch under the two candidate scalings of the branch state:
-    'normalized' (unit trace) and 'unnormalized' (trace = twice the
-    branch probability).  Exactly one should agree."""
-    outcomes = circuit_teleport(channel, unknown)
-    branch = outcomes[0]
+    ee branch under the two candidate scalings of the branch state, as
+    the keys 'normalized' (unit trace) and 'unnormalized' (trace = twice
+    the branch probability).  Exactly one should agree."""
+    branch = circuit_teleport(channel, unknown)[0]
     analytic = closed_form_bob(unknown, table)
-    dev_normalized = float(np.max(np.abs(analytic - branch.sb)))
     carried = 2.0 * branch.probability[..., None] * branch.sb
-    dev_unnormalized = float(np.max(np.abs(analytic - carried)))
     return {
-        "normalized": dev_normalized,
-        "unnormalized": dev_unnormalized,
-        "sb_closed_form": analytic,
-        "probability": branch.probability,
+        "normalized": float(np.max(np.abs(analytic - branch.sb))),
+        "unnormalized": float(np.max(np.abs(analytic - carried))),
     }

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdcavity import DensityMatrix
+from qdcavity import AtomicInitialState, DensityMatrix
 
 
 @pytest.fixture
@@ -22,6 +22,13 @@ def random_ket(rng, dim: int) -> np.ndarray:
 
 def random_product_density(rng) -> np.ndarray:
     return np.kron(random_density(rng, 2), random_density(rng, 2))
+
+
+def normalized_atoms(*amplitudes) -> AtomicInitialState:
+    """The two-atom state a1|ee> + a2|eg> + a3|ge> + a4|gg>, scaled to
+    unit norm."""
+    v = np.array(amplitudes, dtype=complex)
+    return AtomicInitialState(*(v / np.linalg.norm(v)))
 
 
 def bell_phi_plus() -> DensityMatrix:

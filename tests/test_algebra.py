@@ -215,12 +215,6 @@ class TestCoherentWeights:
         with pytest.raises(TruncationError, match="tail"):
             coherent_weights(10.0, 15, 1e-12)
 
-    def test_amplitude_padding(self):
-        field = coherent_weights(1.0, 30)
-        assert field.amplitude(31) == 0.0
-        assert field.amplitude(-1) == 0.0
-        assert field.amplitude(0) == field.weights[0]
-
     def test_rejects_bad_tail_eps(self):
         with pytest.raises(ValueError):
             coherent_weights(1.0, 30, 0.0)

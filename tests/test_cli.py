@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from qdcavity import algebra
+from qdcavity import DensityMatrix, algebra, states
 from qdcavity.cli import (
     SweepConfig,
     cmd_simulate,
@@ -70,6 +70,11 @@ class TestParsing:
             SweepConfig(engine="magic")
         with pytest.raises(ValueError):
             SweepConfig(t_max=0.0)
+
+    def test_empty_q_values_rejected(self):
+        # lambda is checked once per q, so an empty list would skip it.
+        with pytest.raises(ValueError, match="q_values"):
+            SweepConfig(q_values=(), lam=float("nan"), nbar=0.0)
 
 
 class TestConfigFile:
@@ -269,6 +274,31 @@ class TestTeleport:
         buffer = io.StringIO()
         assert cmd_teleport(config, buffer) == 0
         assert "f_average" in buffer.getvalue()
+
+
+class TestPositivityWarnings:
+    @pytest.mark.parametrize("command", ["simulate", "teleport"])
+    def test_reported_on_stderr_csv_unchanged(self, command, capsys,
+                                              monkeypatch):
+        argv = [command, "--q", "0.5", "--q", "0.9", "--steps", "5",
+                "--nbar", "2"]
+        code, plain, err = run_cli(argv, capsys)
+        assert code == 0 and "non-positive" not in err
+        real_compose = states.compose
+        calls = []
+
+        def compose_with_warning(state):
+            calls.append(state)
+            rho = real_compose(state)
+            return DensityMatrix(rho.matrix, warnings=rho.warnings + (
+                "negative eigenvalue -1.000e-03 below floor",))
+
+        monkeypatch.setattr(states, "compose", compose_with_warning)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and out == plain
+        assert err == (f"warning: {len(calls)} non-positive state(s), "
+                       "first: negative eigenvalue -1.000e-03 below floor\n")
+        assert len(calls) == 2
 
 
 class TestPresetConsistency:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdcavity import (
     AtomicInitialState,
@@ -14,11 +15,11 @@ from qdcavity import (
     compose,
     decompose,
     evolved_bloch,
-    initial_bloch,
     initial_composite_state,
     reduced_atomic_state,
 )
-from conftest import random_ket
+from conftest import normalized_atoms, random_ket
+from test_properties import amplitudes
 
 
 def excited_pair():
@@ -36,71 +37,61 @@ def random_atoms(rng):
     return AtomicInitialState(*random_ket(rng, 4))
 
 
+def pure_bloch(atoms):
+    """Pauli decomposition of the pure two-atom input |a><a|."""
+    ket = atoms.vector
+    return decompose(np.outer(ket, ket.conj()))
+
+
 class TestInitialBloch:
     def test_doubly_excited(self):
-        state = initial_bloch(excited_pair())
+        state = pure_bloch(excited_pair())
         np.testing.assert_allclose(state.s, [0, 0, 1], atol=1e-14)
         np.testing.assert_allclose(state.t, [0, 0, 1], atol=1e-14)
         np.testing.assert_allclose(state.cross, np.diag([0, 0, 1]), atol=1e-14)
 
     def test_single_excitation(self):
-        state = initial_bloch(AtomicInitialState(0, 1.0, 0, 0))
+        state = pure_bloch(AtomicInitialState(0, 1.0, 0, 0))
         assert state.s[2] == 1.0
         assert state.t[2] == -1.0
         assert state.cross[2, 2] == -1.0
 
     def test_bell_combination(self):
         amp = 1.0 / math.sqrt(2.0)
-        state = initial_bloch(AtomicInitialState(amp, 0, 0, amp))
+        state = pure_bloch(AtomicInitialState(amp, 0, 0, amp))
         np.testing.assert_allclose(state.s, [0, 0, 0], atol=1e-14)
         np.testing.assert_allclose(state.t, [0, 0, 0], atol=1e-14)
         np.testing.assert_allclose(state.cross, np.diag([1, -1, 1]), atol=1e-14)
 
-    def test_matches_pauli_decomposition(self, rng):
-        # The explicit products must agree with tracing the projector
-        # against the Pauli basis.
-        for _ in range(20):
-            atoms = random_atoms(rng)
-            ket = atoms.vector
-            reference = decompose(np.outer(ket, ket.conj()))
-            state = initial_bloch(atoms)
-            np.testing.assert_allclose(state.s, reference.s, atol=1e-12)
-            np.testing.assert_allclose(state.t, reference.t, atol=1e-12)
-            np.testing.assert_allclose(state.cross, reference.cross, atol=1e-12)
-
 
 class TestAmplitudeQuadruple:
     def test_initial_values(self):
-        field, spec = standard_config()
-        atoms = AtomicInitialState.normalized(0.8, 0.4, 0.3, 0.2)
-        table = amplitude_table(0.0, atoms, field, spec)
-        for n in (0, 3, 10):
-            quad = table.quadruple(n)
-            assert quad.c1 == pytest.approx(atoms.a1 * field.amplitude(n))
-            assert quad.c2 == pytest.approx(atoms.a2 * field.amplitude(n + 1))
-            assert quad.c3 == pytest.approx(atoms.a3 * field.amplitude(n + 1))
-            assert quad.c4 == pytest.approx(atoms.a4 * field.amplitude(n + 2))
+        # Column n + 2m of the table holds manifold n.
+        atoms = normalized_atoms(0.8, 0.4, 0.3, 0.2)
+        for m in (1, 2, 3):
+            field, spec = standard_config(m=m)
+            c = amplitude_table(0.0, atoms, field, spec).c
+            for n in (0, 3, 10):
+                c1, c2, c3, c4 = c[:, n + 2 * m]
+                assert c1 == pytest.approx(atoms.a1 * field.weights[n])
+                assert c2 == pytest.approx(atoms.a2 * field.weights[n + m])
+                assert c3 == pytest.approx(atoms.a3 * field.weights[n + m])
+                assert c4 == pytest.approx(atoms.a4 * field.weights[n + 2 * m])
 
     def test_vacuum_rabi_law(self):
         field = coherent_weights(0.0, 2)
         spec = HamiltonianSpec.resonant(1.0, m=1, q=1.0)
         for t in np.linspace(0.0, 12.0, 97):
-            quad = amplitude_table(t, excited_pair(), field, spec).quadruple(0)
+            column = amplitude_table(t, excited_pair(), field, spec).c[:, 2]
             law = 1.0 - (2.0 / 3.0) * math.sin(math.sqrt(1.5) * t) ** 2
-            assert abs(quad.c1 - law) < 1e-12
-            assert quad.weight == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_index_below_tail(self):
-        field, spec = standard_config(m=2)
-        table = amplitude_table(1.0, excited_pair(), field, spec)
-        with pytest.raises(IndexError):
-            table.quadruple(-5)
+            assert abs(column[0] - law) < 1e-12
+            assert np.sum(np.abs(column) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_asymmetric_couplings(self):
         field, _ = standard_config()
         lopsided = HamiltonianSpec(1.0, 1.2, 1, 0.9)
         with pytest.raises(UnsupportedConfigurationError, match="exact"):
-            amplitude_table(1.0, excited_pair(), field, lopsided).quadruple(0)
+            amplitude_table(1.0, excited_pair(), field, lopsided)
 
     def test_rejects_detuning(self):
         field, _ = standard_config()
@@ -127,29 +118,30 @@ class TestNormalization:
         # below m live in the negative-index manifolds; dropping them
         # would lose about W_0^2 of weight at nbar = 10.
         field, spec = standard_config()
-        atoms = AtomicInitialState.normalized(0.0, 1.0, 1.0, 1.0)
+        atoms = normalized_atoms(0.0, 1.0, 1.0, 1.0)
         table = amplitude_table(2.0, atoms, field, spec)
-        assert table.n_min == -2
-        tail_weight = sum(table.quadruple(n).weight
-                          for n in range(table.n_min, 0))
+        tail_weight = np.sum(np.abs(table.c[:, :2 * spec.m]) ** 2)
         assert tail_weight > 1e-6
 
 
 class TestEvolvedBloch:
-    def test_matches_initial_at_t_zero(self, rng):
-        field, spec = standard_config()
-        for _ in range(10):
-            atoms = random_atoms(rng)
-            evolved = evolved_bloch(0.0, atoms, field, spec)
-            start = initial_bloch(atoms)
-            np.testing.assert_allclose(evolved.s, start.s, atol=1e-10)
-            np.testing.assert_allclose(evolved.t, start.t, atol=1e-10)
-            np.testing.assert_allclose(evolved.cross, start.cross, atol=1e-10)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(parts=amplitudes, q=st.floats(0.0, 1.0), m=st.integers(1, 3),
+           nbar=st.floats(0.0, 50.0))
+    def test_matches_initial_at_t_zero(self, parts, q, m, nbar):
+        atoms = normalized_atoms(
+            *(complex(re, im) for re, im in zip(parts[::2], parts[1::2])))
+        field, spec = standard_config(q=q, m=m, nbar=nbar)
+        evolved = evolved_bloch(0.0, atoms, field, spec)
+        start = pure_bloch(atoms)
+        np.testing.assert_allclose(evolved.s, start.s, atol=1e-10)
+        np.testing.assert_allclose(evolved.t, start.t, atol=1e-10)
+        np.testing.assert_allclose(evolved.cross, start.cross, atol=1e-10)
 
     def test_exchange_symmetry(self):
         # Identical couplings and a2 = a3 keep the two atoms equivalent.
         field, spec = standard_config(q=0.5)
-        atoms = AtomicInitialState.normalized(0.6, 0.4, 0.4, 0.2)
+        atoms = normalized_atoms(0.6, 0.4, 0.4, 0.2)
         for t in np.linspace(0.0, 8.0, 17):
             state = evolved_bloch(t, atoms, field, spec)
             np.testing.assert_allclose(state.s, state.t, atol=1e-12)

@@ -17,6 +17,7 @@ from qdcavity import (
 )
 from qdcavity.algebra import q_number
 from qdcavity.exact import _manifold_blocks, deformed_lowering_power
+from conftest import normalized_atoms
 
 
 def excited_pair():
@@ -145,10 +146,6 @@ class TestInitialState:
         with pytest.raises(ValueError):
             AtomicInitialState(1.0, 1.0, 0.0, 0.0)
 
-    def test_normalized_constructor(self):
-        atoms = AtomicInitialState.normalized(1.0, 1.0, 0.0, 0.0)
-        assert abs(atoms.a1) == pytest.approx(1 / math.sqrt(2))
-
 
 class TestPropagate:
     def test_identity_at_t_zero(self):
@@ -219,7 +216,7 @@ class TestPropagate:
         # Independent oracle: full-space eigendecomposition.
         field = coherent_weights(2.0, 24)
         spec = HamiltonianSpec.resonant(0.9, m=1, q=0.7)
-        atoms = AtomicInitialState.normalized(0.3, 0.5 - 0.2j, -0.4, 0.6j)
+        atoms = normalized_atoms(0.3, 0.5 - 0.2j, -0.4, 0.6j)
         state = initial_composite_state(atoms, field)
         h = build_hamiltonian(spec, 24)
         eigvals, eigvecs = np.linalg.eigh(h)
@@ -234,7 +231,7 @@ class TestPropagate:
     def test_energy_conserved(self):
         field = coherent_weights(10.0, choose_cutoff(10.0, 1))
         spec = HamiltonianSpec.resonant(1.0, m=1, q=0.9)
-        atoms = AtomicInitialState.normalized(0.6, 0.0, 0.8, 0.0)
+        atoms = normalized_atoms(0.6, 0.0, 0.8, 0.0)
         state = initial_composite_state(atoms, field)
         h = build_hamiltonian(spec, field.cutoff)
         prop = Propagator(spec, field.cutoff)
@@ -265,7 +262,7 @@ class TestPropagate:
         # Off resonance is configuration-only: check unitarity and that
         # the free terms actually change the motion.
         field = coherent_weights(1.0, 18)
-        atoms = AtomicInitialState.normalized(1.0, 0.0, 1.0, 0.0)
+        atoms = normalized_atoms(1.0, 0.0, 1.0, 0.0)
         state = initial_composite_state(atoms, field)
         detuned = HamiltonianSpec(1.0, 1.0, 1, 0.9, detuning=0.8,
                                   field_freq=5.0)

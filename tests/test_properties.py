@@ -8,11 +8,12 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qdcavity import (AtomicInitialState, CompositeState, HamiltonianSpec,
-                      Propagator, build_hamiltonian, choose_cutoff,
-                      coherent_weights, decompose, evolved_bloch,
-                      initial_composite_state, reduced_atomic_state)
+from qdcavity import (CompositeState, HamiltonianSpec, Propagator,
+                      build_hamiltonian, choose_cutoff, coherent_weights,
+                      decompose, evolved_bloch, initial_composite_state,
+                      reduced_atomic_state)
 from qdcavity.states import max_deviation
+from conftest import normalized_atoms
 
 component = st.floats(-1.0, 1.0, allow_nan=False)
 amplitudes = st.lists(component, min_size=8, max_size=8).filter(
@@ -23,7 +24,7 @@ amplitudes = st.lists(component, min_size=8, max_size=8).filter(
 @given(parts=amplitudes, q=st.floats(0.0, 1.0), m=st.integers(1, 3),
        nbar=st.floats(0.0, 50.0), t=st.floats(0.0, 20.0))
 def test_closed_form_matches_exact_propagator(parts, q, m, nbar, t):
-    atoms = AtomicInitialState.normalized(
+    atoms = normalized_atoms(
         *(complex(re, im) for re, im in zip(parts[::2], parts[1::2])))
     field = coherent_weights(nbar, choose_cutoff(nbar, m))
     spec = HamiltonianSpec.resonant(1.0, m=m, q=q)

@@ -10,7 +10,6 @@ from qdcavity import (
     entanglement_degree,
     negativity,
     purity,
-    werner_parameters,
 )
 from conftest import bell_phi_plus, random_density, random_product_density
 
@@ -129,30 +128,6 @@ class TestEntanglementDegree:
                 s=r @ state.s, t=q @ state.t, cross=r @ state.cross @ q.T)
             assert entanglement_degree(rotated) == pytest.approx(
                 entanglement_degree(state), abs=1e-10)
-
-
-class TestWerner:
-    def test_bell(self):
-        params = werner_parameters(decompose(bell_phi_plus()))
-        assert (params.x1, params.x2, params.x3) == pytest.approx((1, -1, 1))
-        assert params.is_werner and params.residual < 1e-12
-
-    def test_doubly_excited_is_not_werner(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-        params = werner_parameters(decompose(rho))
-        assert not params.is_werner
-        assert params.residual == pytest.approx(1.0)
-
-    def test_maximally_mixed(self):
-        params = werner_parameters(MAXIMALLY_MIXED)
-        assert params.is_werner
-        assert (params.x1, params.x2, params.x3) == (0.0, 0.0, 0.0)
-
-    def test_tolerance_is_configurable(self):
-        state = bloch([1e-4, 0, 0], [0, 0, 0], np.zeros((3, 3)))
-        assert not werner_parameters(state, tol=1e-6).is_werner
-        assert werner_parameters(state, tol=1e-3).is_werner
 
 
 class TestNegativity:

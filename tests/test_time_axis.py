@@ -138,7 +138,7 @@ class TestStates:
         mats = np.array([random_density(rng, 2) for _ in range(30)])
         assert_per_point(bloch_vector(mats), [bloch_vector(m) for m in mats])
         stacked = DensityMatrix.from_matrix(mats)
-        assert stacked.dim == 2 and stacked.warnings == ()
+        assert stacked.matrix.shape[-1] == 2 and stacked.warnings == ()
         assert_per_point(stacked.matrix,
                          [DensityMatrix.from_matrix(m).matrix for m in mats])
 
