@@ -19,7 +19,6 @@ from .algebra import (
 )
 from .closedform import (
     AmplitudeTable,
-    UnsupportedConfigurationError,
     amplitude_table,
     bloch_from_table,
     evolved_bloch,
@@ -71,7 +70,6 @@ __all__ = [
     "TruncationError",
     "TwoQubitBlochState",
     "UnknownQubit",
-    "UnsupportedConfigurationError",
     "amplitude_table",
     "average_fidelity",
     "bloch_from_table",

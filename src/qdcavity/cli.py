@@ -189,7 +189,8 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
     print(f"# alpha={fmt_complex(unknown.alpha)} beta={fmt_complex(unknown.beta)} "
           f"su={','.join(fmt(v) for v in su)}", file=stream)
     print("# f_paper: quarter-normalised score from the branch-weighted "
-          "receiver vector (closed-form sums on the ee branch)", file=stream)
+          "receiver vector (2 * probability * sb on every branch)",
+          file=stream)
     shortfall = ideal_channel_shortfall(
         [teleport.UnknownQubit.from_bloch((1.0, 0.0, 0.0))])
     print(f"# self-test: ideal channel worst fidelity shortfall "
@@ -209,10 +210,7 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
         branches = []
         for index, outcome in enumerate(outcomes):
             warnings.extend(outcome.bob_state.warnings)
-            if outcome.outcome_label == "ee" and table is not None:
-                sb_weighted = teleport.closed_form_bob(unknown, table)
-            else:
-                sb_weighted = 2.0 * outcome.probability[..., None] * outcome.sb
+            sb_weighted = 2.0 * outcome.probability[..., None] * outcome.sb
             values = [
                 outcome.probability, teleport.fidelity_paper(su, sb_weighted),
                 teleport.fidelity_overlap(unknown, outcome.bob_state), f_avg,
@@ -288,8 +286,8 @@ def main(argv=None) -> int:
     if args.command == "validate":
         return cmd_validate(sys.stdout)
     runner = cmd_simulate if args.command == "simulate" else cmd_teleport
-    # UnsupportedConfigurationError is a ValueError too; OSError covers a
-    # missing --config file or --out directory.
+    # ConfigurationError is a ValueError too; OSError covers a missing
+    # --config file or --out directory.
     try:
         config = _resolve(args, args.command)
         for warning in config.warnings:

@@ -21,30 +21,15 @@ import functools
 import numpy as np
 
 from .algebra import FieldSpec, ladder_elements
-from .exact import AtomicInitialState, HamiltonianSpec
+from .exact import AtomicInitialState, ConfigurationError, HamiltonianSpec
 from .states import TwoQubitBlochState
 
 __all__ = [
     "AmplitudeTable",
-    "UnsupportedConfigurationError",
     "amplitude_table",
     "bloch_from_table",
     "evolved_bloch",
 ]
-
-
-class UnsupportedConfigurationError(ValueError):
-    """Raised when a configuration falls outside the closed form."""
-
-
-def _require_closed_form(spec: HamiltonianSpec):
-    if not spec.symmetric_resonant:
-        raise UnsupportedConfigurationError(
-            "the closed form holds only for equal couplings at zero "
-            "detuning; use the exact propagator engine for "
-            f"lambda1={spec.lambda1}, lambda2={spec.lambda2}, "
-            f"detuning={spec.detuning}"
-        )
 
 
 class AmplitudeTable:
@@ -116,7 +101,7 @@ def _amplitude_arrays(t, atoms: AtomicInitialState, field: FieldSpec,
     w_nm = np.concatenate([np.zeros(m), w_n2m[:-m]])
     w_n = np.concatenate([np.zeros(2 * m), w_n2m[:-2 * m]])
 
-    nu1, nu2, mu = _cached_couplings(field.cutoff, m, spec.lambda1, spec.q)
+    nu1, nu2, mu = _cached_couplings(field.cutoff, m, spec.lam, spec.q)
 
     # Frozen manifolds have mu = 0; there sin(2 mu t)/(2 mu) -> t and
     # sin^2(mu t)/mu^2 -> t^2, both multiplied by vanishing couplings.
@@ -138,14 +123,9 @@ def _amplitude_arrays(t, atoms: AtomicInitialState, field: FieldSpec,
 
 def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
                     spec: HamiltonianSpec) -> AmplitudeTable:
-    """All manifold amplitudes at time t, or at each time of a 1-D array.
-
-    Valid only for equal couplings at zero detuning; anything else must
-    go through the exact propagator.
-    """
-    _require_closed_form(spec)
+    """All manifold amplitudes at time t, or at each time of a 1-D array."""
     if field.cutoff < 2 * spec.m:
-        raise UnsupportedConfigurationError(
+        raise ConfigurationError(
             f"cutoff {field.cutoff} below one manifold span 2m = {2 * spec.m}")
     return AmplitudeTable(spec.m, _amplitude_arrays(t, atoms, field, spec))
 

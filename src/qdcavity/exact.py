@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FieldSpec, check_deformation, ladder_elements, q_number
+from .algebra import FieldSpec, check_deformation, ladder_elements
 
 __all__ = [
     "AtomicInitialState",
@@ -46,42 +46,25 @@ class PhysicalityError(ValueError):
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Couplings and mode parameters of the two-atom/cavity interaction.
+    """Coupling, photon multiplicity and deformation of the resonant
+    two-atom/cavity interaction.
 
-    lambda1 sets the time unit: all sweep times are reported as
-    lambda * t.  At resonance (detuning = 0) the free terms are dropped
-    (interaction picture); the frequencies only enter off resonance.
+    Both atoms couple to the mode with the same lam, which sets the time
+    unit: all sweep times are reported as lam * t.  At resonance the free
+    terms drop out in the interaction picture, so no frequency enters.
     """
 
-    lambda1: float
-    lambda2: float
-    m: int
-    q: float
-    detuning: float = 0.0
-    field_freq: float = 1.0
+    lam: float
+    m: int = 1
+    q: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "q", check_deformation(self.q))
-        if not (0 < self.lambda1 < np.inf and 0 < self.lambda2 < np.inf):
+        if not 0 < self.lam < np.inf:
             raise ConfigurationError(
-                "coupling constants lambda1, lambda2 must be finite and "
-                "positive")
+                "coupling constant lambda must be finite and positive")
         if self.m < 1:
             raise ConfigurationError("photon multiplicity m must be >= 1")
-
-    @property
-    def atom_freq(self) -> float:
-        """Atomic transition frequency, field_freq - detuning."""
-        return self.field_freq - self.detuning
-
-    @classmethod
-    def resonant(cls, coupling: float, m: int = 1, q=1.0) -> "HamiltonianSpec":
-        """Equal couplings at zero detuning, the analytically solved case."""
-        return cls(lambda1=coupling, lambda2=coupling, m=m, q=q)
-
-    @property
-    def symmetric_resonant(self) -> bool:
-        return self.lambda1 == self.lambda2 and self.detuning == 0.0
 
 
 @dataclass(frozen=True)
@@ -179,43 +162,31 @@ def deformed_lowering_power(cutoff: int, m: int, q) -> np.ndarray:
     return out
 
 
-def _atomic_lowering() -> tuple[np.ndarray, np.ndarray]:
-    """(first-atom, second-atom) lowering operators on the 4-dim basis."""
-    sig = np.zeros((4, 4))
-    sig[2, 0] = 1.0  # ee -> ge
-    sig[3, 1] = 1.0  # eg -> gg
-    tau = np.zeros((4, 4))
-    tau[1, 0] = 1.0  # ee -> eg
-    tau[3, 2] = 1.0  # ge -> gg
-    return sig, tau
+def _collective_lowering() -> np.ndarray:
+    """sigma- + tau-, both atoms' lowering operators summed on the 4-dim
+    basis; the two never share an entry."""
+    low = np.zeros((4, 4))
+    low[2, 0] = low[3, 1] = 1.0  # first atom: ee -> ge, eg -> gg
+    low[1, 0] = low[3, 2] = 1.0  # second atom: ee -> eg, ge -> gg
+    return low
 
 
 def build_hamiltonian(spec: HamiltonianSpec, cutoff: int) -> np.ndarray:
     """Full Hamiltonian on the 4(cutoff+1)-dimensional composite space.
 
-    At resonance only the interaction part survives:
-        lambda1 (sigma+ a_q^m + sigma- a_q^+m)
-      + lambda2 (tau+   a_q^m + tau-   a_q^+m).
-    Off resonance the free parts field_freq * a_q^+ a_q and
-    (atom_freq/2)(sigma_z + tau_z) are kept; they are diagonal, so the
-    manifold block structure is unchanged.
+    In the interaction picture at resonance only the coupling survives:
+        lam (sigma+ a_q^m + sigma- a_q^+m + tau+ a_q^m + tau- a_q^+m).
     """
     if cutoff < 2 * spec.m:
         raise ConfigurationError(
             f"cutoff {cutoff} cannot hold one full manifold (need >= {2 * spec.m})"
         )
     a_m = deformed_lowering_power(cutoff, spec.m, spec.q)
-    sig_minus, tau_minus = _atomic_lowering()
-    h = spec.lambda1 * np.kron(sig_minus.T, a_m) \
-        + spec.lambda2 * np.kron(tau_minus.T, a_m)
+    h = spec.lam * np.kron(_collective_lowering().T, a_m)
+    # Rebinding h frees the triangle before the complex copy is made, so
+    # at most three real-sized arrays are alive at once.
     h = h + h.T
-    h = h.astype(complex)
-    if spec.detuning != 0.0:
-        number = np.diag([q_number(n, spec.q) for n in range(cutoff + 1)])
-        inversion = np.diag([1.0, 0.0, 0.0, -1.0])
-        h = h + spec.field_freq * np.kron(np.eye(4), number) \
-            + spec.atom_freq * np.kron(inversion, np.eye(cutoff + 1))
-    return h
+    return h.astype(complex)
 
 
 def _manifold_blocks(cutoff: int, m: int) -> list[np.ndarray]:

@@ -69,7 +69,7 @@ def decompose(rho) -> TwoQubitBlochState:
     if mat.shape[-2:] != (4, 4):
         raise PhysicalityError(f"expected a 4x4 matrix, got {mat.shape}")
     if not isinstance(rho, DensityMatrix):
-        DensityMatrix.from_matrix(mat, positivity="warn")
+        DensityMatrix.from_matrix(mat)
     values = np.stack([np.trace(mat @ op, axis1=-2, axis2=-1).real
                        for op in _FIRST_OPS + _SECOND_OPS + _CROSS_OPS], axis=-1)
     return TwoQubitBlochState(

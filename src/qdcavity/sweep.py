@@ -76,7 +76,7 @@ class SweepConfig:
         return self._unknown
 
     def hamiltonian(self, q: float) -> exact.HamiltonianSpec:
-        return exact.HamiltonianSpec.resonant(self.lam, m=self.m, q=q)
+        return exact.HamiltonianSpec(self.lam, m=self.m, q=q)
 
     def field(self) -> algebra.FieldSpec:
         return self._field

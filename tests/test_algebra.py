@@ -179,7 +179,7 @@ class TestLadderCouplings:
         with pytest.raises(ValueError):
             ladder_elements(4, 0, 0.5)
         with pytest.raises(ValueError):
-            HamiltonianSpec.resonant(0.0, m=1, q=0.5)
+            HamiltonianSpec(0.0, m=1, q=0.5)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_per_manifold_formula(self, m):

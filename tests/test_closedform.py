@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qdcavity import (
     AtomicInitialState,
+    ConfigurationError,
     HamiltonianSpec,
     Propagator,
-    UnsupportedConfigurationError,
     amplitude_table,
     choose_cutoff,
     coherent_weights,
@@ -29,7 +29,7 @@ def excited_pair():
 def standard_config(q=0.9, m=1, nbar=10.0):
     cutoff = choose_cutoff(nbar, m)
     field = coherent_weights(nbar, cutoff)
-    spec = HamiltonianSpec.resonant(1.0, m=m, q=q)
+    spec = HamiltonianSpec(1.0, m=m, q=q)
     return field, spec
 
 
@@ -80,25 +80,18 @@ class TestAmplitudeQuadruple:
 
     def test_vacuum_rabi_law(self):
         field = coherent_weights(0.0, 2)
-        spec = HamiltonianSpec.resonant(1.0, m=1, q=1.0)
+        spec = HamiltonianSpec(1.0, m=1, q=1.0)
         for t in np.linspace(0.0, 12.0, 97):
             column = amplitude_table(t, excited_pair(), field, spec).c[:, 2]
             law = 1.0 - (2.0 / 3.0) * math.sin(math.sqrt(1.5) * t) ** 2
             assert abs(column[0] - law) < 1e-12
             assert np.sum(np.abs(column) ** 2) == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_asymmetric_couplings(self):
-        field, _ = standard_config()
-        lopsided = HamiltonianSpec(1.0, 1.2, 1, 0.9)
-        with pytest.raises(UnsupportedConfigurationError, match="exact"):
-            amplitude_table(1.0, excited_pair(), field, lopsided)
-
-    def test_rejects_detuning(self):
-        field, _ = standard_config()
-        detuned = HamiltonianSpec(1.0, 1.0, 1, 0.9, detuning=0.3,
-                                  field_freq=2.0)
-        with pytest.raises(UnsupportedConfigurationError, match="exact"):
-            amplitude_table(1.0, excited_pair(), field, detuned)
+    def test_rejects_cutoff_below_one_manifold(self):
+        # The same error build_hamiltonian raises for the same condition.
+        with pytest.raises(ConfigurationError, match="2m"):
+            amplitude_table(0.0, excited_pair(), coherent_weights(0.0, 1),
+                            HamiltonianSpec(1.0, m=1))
 
 
 class TestNormalization:

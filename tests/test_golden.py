@@ -23,16 +23,16 @@ GOLDEN = {
     ("2a", "both"): "0ef6c042e46e83e4328c889d676d6aa7b9a493f23699db74661dc4c9535d9de4",
     ("2b", "closed"): "5d66a33690174a5d9ac4fe1f8b9adf4049db621551091a0841f4a328a06af949",
     ("2b", "both"): "33c9c047aaa1655c2d7b117e1c6a9142c9a589aaf4c3d4ea0f1f3b566d010c2d",
-    ("3a", "closed"): "8bb0c9b10a35260e3038e58c95df23ba48aca500d7eafb1a1718a8c931699793",
-    ("3a", "both"): "85909231001b856b86b92f794950a93b0d9e961f4da44229ce62bd6d13ef8dde",
-    ("3b", "closed"): "8789462f4fab6cd6369f98ac506f0369f32aa181f3538d2647f56617b07a81fd",
-    ("3b", "both"): "4552b84ca8a2be9871532e9206af14c6327905ee6df1172a5642dfebd2a94fef",
+    ("3a", "closed"): "24c670d561271334db2922447587c0a6b6709d8850029e417179e961c264fc25",
+    ("3a", "both"): "6aa38e2d76a6721fd4f7d51a80a2e899b6a703155dc0841b8fce10cf0f1b5af0",
+    ("3b", "closed"): "060e5c3e474f8297b71eacef5ea7a4b9cca16537e636879fa38c98212d5fae6e",
+    ("3b", "both"): "09dcf977e9567c9230b9b1f28b87a3072e157088fdf3d0d30bc666e55da3a5d7",
     ("1a", "exact"): "3afa60c817c7ae1acd43c0f77e2e18e1b6379dc33a1c27008679fb8d3572793a",
     ("1b", "exact"): "44d6ce0b1af18c5c40e8633e9bdde26474a796edad0fd791e102cf7acdc86568",
     ("2a", "exact"): "7da3293211cf3402cdc70710e4a89a2874ddaab554daadbd1f1a0bb1540532dc",
     ("2b", "exact"): "064af7e04383e14c18470544866de8d54c01b3bb887538e3f2ef97fc966f18ef",
-    ("3a", "exact"): "87615dcf65a5f6be6e021c6dc1fc9305d5c2c0f26c898a6364dc364a469c7295",
-    ("3b", "exact"): "86579abbf8bd3e438bd92cc1dbe12bdb524699b3193401338c1a0fed47cde400",
+    ("3a", "exact"): "986e6426cb657c8c823d09b79bbe1a08dc413312df89d79ea3ef42b3f0fbd527",
+    ("3b", "exact"): "a117b1ab3d78119ba79911ffad0e122ad0fedfb854f6c358ba27f718fc1de500",
 }
 
 VALIDATE_GOLDEN = "c6578bcf99a2834302436330f499d49f51b3d4ec0116fd12ddcd05fee6e437d9"

@@ -19,9 +19,10 @@ MODULES = tuple(sorted(info.name for info in
                        if info.name != "__main__"))
 
 DELETED = ("ATOMIC_LABELS", "AmplitudeQuadruple", "DeformationParameter",
-           "LadderCouplings", "WernerParameters", "deformation_factor",
-           "initial_bloch", "ladder_couplings", "propagate",
-           "q_factorial_ratio", "werner_parameters")
+           "LadderCouplings", "UnsupportedConfigurationError",
+           "WernerParameters", "deformation_factor", "initial_bloch",
+           "ladder_couplings", "propagate", "q_factorial_ratio",
+           "werner_parameters")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -54,6 +54,10 @@ class TestDecompose:
         with pytest.raises(PhysicalityError):
             decompose(np.eye(4, dtype=complex))
 
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(PhysicalityError, match="negative eigenvalue"):
+            decompose(np.diag([0.6, 0.6, -0.1, -0.1]))
+
 
 class TestCompose:
     def test_zero_state_is_maximally_mixed(self):

@@ -69,7 +69,7 @@ def closed_sweep(request, rng):
     field = coherent_weights(nbar, choose_cutoff(nbar, 1))
     assert field.cutoff == cutoff
     times = np.linspace(0.0, 10.0, steps)
-    return times, random_atoms(rng), field, HamiltonianSpec.resonant(1.0, q=0.9)
+    return times, random_atoms(rng), field, HamiltonianSpec(1.0, q=0.9)
 
 
 class TestClosedForm:
@@ -151,20 +151,14 @@ class TestStates:
         assert stacked.warnings == single.warnings * 2
 
 
-SPECS = {
-    "resonant": {},
-    "detuned": {"detuning": 0.8, "field_freq": 5.0},
-    "unequal": {"lambda1": 1.3, "lambda2": 0.7},
-}
+EXACT_LAYER_CASES = [(1, 10.0), (2, 10.0), (3, 10.0), (1, 400.0)]
 
 
-@pytest.mark.parametrize("m,kind,nbar", [
-    *((m, kind, 10.0) for m in (1, 2, 3) for kind in SPECS),
-    (1, "detuned", 400.0),
-])
-def test_exact_layers(m, kind, nbar, rng):
-    spec = HamiltonianSpec(**{"lambda1": 1.0, "lambda2": 1.0, "m": m,
-                              "q": 0.8, **SPECS[kind]})
+@pytest.mark.parametrize("m,nbar", EXACT_LAYER_CASES,
+                         ids=[f"{m}-resonant-{nbar}"
+                              for m, nbar in EXACT_LAYER_CASES])
+def test_exact_layers(m, nbar, rng):
+    spec = HamiltonianSpec(1.0, m, 0.8)
     field = coherent_weights(nbar, choose_cutoff(nbar, m))
     initial = initial_composite_state(random_atoms(rng), field)
     prop = Propagator(spec, field.cutoff)
@@ -185,7 +179,7 @@ def test_exact_layers(m, kind, nbar, rng):
 def test_exact_rejects_a_negative_time_in_a_stack():
     field = coherent_weights(10.0, choose_cutoff(10.0, 1))
     initial = initial_composite_state(AtomicInitialState(1, 0, 0, 0), field)
-    prop = Propagator(HamiltonianSpec.resonant(1.0, q=0.8), field.cutoff)
+    prop = Propagator(HamiltonianSpec(1.0, q=0.8), field.cutoff)
     with pytest.raises(ValueError):
         prop.evolve(initial, np.array([0.0, -1.0]))
 
