@@ -31,7 +31,6 @@ from .exact import (
     HamiltonianSpec,
     PhysicalityError,
     Propagator,
-    build_hamiltonian,
     initial_composite_state,
     reduced_atomic_state,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "average_fidelity",
     "bloch_from_table",
     "bloch_vector",
-    "build_hamiltonian",
     "check_deformation",
     "choose_cutoff",
     "circuit_teleport",

@@ -2,9 +2,10 @@
 
 The interaction couples the two atoms to the mode through m-photon
 exchanges, so the composite space splits into invariant manifolds
-{|ee,n>, |eg,n+m>, |ge,n+m>, |gg,n+2m>}.  The propagator holds the
-Hermitian blocks as one stack per block size (1, 3 or 4), diagonalises
-each stack once and reuses the decomposition for every evolution time.
+{|ee,n>, |eg,n+m>, |ge,n+m>, |gg,n+2m>}.  The propagator builds the
+Hermitian blocks from their indices, one stack per block size (1, 3 or
+4), never the full 4(cutoff+1)-square operator; it diagonalises each
+stack once and reuses the decomposition for every evolution time.
 Atomic basis order is ee, eg, ge, gg with the excited level first.
 Evolving to a 1-D array of times gives stacked states, density matrices
 and reductions, with the times on the leading axis.
@@ -24,7 +25,6 @@ __all__ = [
     "HamiltonianSpec",
     "PhysicalityError",
     "Propagator",
-    "build_hamiltonian",
     "deformed_lowering_power",
     "initial_composite_state",
     "reduced_atomic_state",
@@ -171,24 +171,6 @@ def _collective_lowering() -> np.ndarray:
     return low
 
 
-def build_hamiltonian(spec: HamiltonianSpec, cutoff: int) -> np.ndarray:
-    """Full Hamiltonian on the 4(cutoff+1)-dimensional composite space.
-
-    In the interaction picture at resonance only the coupling survives:
-        lam (sigma+ a_q^m + sigma- a_q^+m + tau+ a_q^m + tau- a_q^+m).
-    """
-    if cutoff < 2 * spec.m:
-        raise ConfigurationError(
-            f"cutoff {cutoff} cannot hold one full manifold (need >= {2 * spec.m})"
-        )
-    a_m = deformed_lowering_power(cutoff, spec.m, spec.q)
-    h = spec.lam * np.kron(_collective_lowering().T, a_m)
-    # Rebinding h frees the triangle before the complex copy is made, so
-    # at most three real-sized arrays are alive at once.
-    h = h + h.T
-    return h.astype(complex)
-
-
 def _manifold_blocks(cutoff: int, m: int) -> list[np.ndarray]:
     """Flat indices of the invariant blocks, one (blocks, size) stack per
     block size; with cutoff >= 2m exactly the sizes 1, 3 and 4 occur.
@@ -203,22 +185,40 @@ def _manifold_blocks(cutoff: int, m: int) -> list[np.ndarray]:
             for k in (1, 3, 4)]
 
 
+def _block_stacks(spec: HamiltonianSpec, cutoff: int) -> list:
+    """(flat, blocks) per block size of the interaction-picture coupling
+        lam (sigma+ a_q^m + sigma- a_q^+m + tau+ a_q^m + tau- a_q^+m):
+    |k,p> and |l,r> couple by lam * ladder[max(p, r)] when one atom flips
+    between levels k and l, and not at all otherwise."""
+    ladder = ladder_elements(cutoff, spec.m, spec.q)
+    low = _collective_lowering()
+    adjacency = low + low.T
+    stacks = []
+    for flat in _manifold_blocks(cutoff, spec.m):
+        level, p = divmod(flat, cutoff + 1)
+        blocks = (spec.lam * ladder[np.maximum(p[:, :, None], p[:, None, :])]
+                  * adjacency[level[:, :, None], level[:, None, :]])
+        stacks.append((flat, blocks.astype(complex)))
+    return stacks
+
+
 class Propagator:
     """Spectral block propagator for one (spec, cutoff) pair.
 
-    One stack per block size, each eigendecomposed once; the stacks are
-    immutable after construction, so a single instance may be shared
-    across threads and evolution times.
+    One stack per block size, built from its indices (memory linear in
+    the cutoff) and eigendecomposed once; the stacks are immutable after
+    construction, so a single instance may be shared across threads and
+    evolution times.
     """
 
     def __init__(self, spec: HamiltonianSpec, cutoff: int):
+        if cutoff < 2 * spec.m:
+            raise ConfigurationError(
+                f"cutoff {cutoff} cannot hold one full manifold (need >= {2 * spec.m})"
+            )
         self.cutoff = cutoff
-        hamiltonian = build_hamiltonian(spec, cutoff)
-        self._stacks = []
-        for flat in _manifold_blocks(cutoff, spec.m):
-            eigvals, eigvecs = np.linalg.eigh(
-                hamiltonian[flat[:, :, None], flat[:, None, :]])
-            self._stacks.append((flat, eigvals, eigvecs))
+        self._stacks = [(flat, *np.linalg.eigh(blocks))
+                        for flat, blocks in _block_stacks(spec, cutoff)]
 
     def evolve(self, state: CompositeState, t) -> CompositeState:
         """psi(t) = exp(-i H t) psi(0), one stack of blocks at a time, at

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qdcavity import AtomicInitialState, DensityMatrix
+from qdcavity import AtomicInitialState, DensityMatrix, ladder_elements
+from qdcavity.exact import deformed_lowering_power
 
 
 @pytest.fixture
@@ -35,3 +36,31 @@ def bell_phi_plus() -> DensityMatrix:
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[0, 3] = rho[3, 0] = rho[3, 3] = 0.5
     return DensityMatrix.from_matrix(rho)
+
+
+def collective_lowering() -> np.ndarray:
+    """sigma- + tau- on the ee, eg, ge, gg basis, from the one-atom
+    lowering |g><e| (excited level first) on each factor."""
+    lower, one = np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(2)
+    return np.kron(lower, one) + np.kron(one, lower)
+
+
+def build_hamiltonian(spec, cutoff: int) -> np.ndarray:
+    """Operator-level oracle: the full interaction-picture Hamiltonian
+        lam (sigma+ a_q^m + sigma- a_q^+m + tau+ a_q^m + tau- a_q^+m)
+    as a dense 4(cutoff+1)-square matrix, for small cutoffs only."""
+    a_m = deformed_lowering_power(cutoff, spec.m, spec.q)
+    h = spec.lam * np.kron(collective_lowering().T, a_m)
+    return (h + h.T).astype(complex)
+
+
+def apply_hamiltonian(spec, psi: np.ndarray) -> np.ndarray:
+    """H psi for psi of shape (4, cutoff+1), in operator form and linear
+    memory: (a_q^m psi)[p-m] = L[p] psi[p] and (a_q^+m psi)[p] =
+    L[p] psi[p-m], with L = ladder_elements(cutoff, m, q)."""
+    m, ladder = spec.m, ladder_elements(psi.shape[-1] - 1, spec.m, spec.q)
+    lowered, raised = np.zeros_like(psi), np.zeros_like(psi)
+    lowered[:, :-m] = ladder[m:] * psi[:, m:]
+    raised[:, m:] = ladder[m:] * psi[:, :-m]
+    low = collective_lowering()
+    return spec.lam * (low.T @ lowered + low @ raised)

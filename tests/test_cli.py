@@ -160,6 +160,17 @@ class TestSimulate:
         assert header[-1] == "max_dev"
         assert all(float(r["max_dev"]) < 1e-6 for r in rows)
 
+    def test_both_engines_agree_at_nbar_4000(self, capsys):
+        # Cutoff 4,684: the exact engine's blocks take a few MiB, where
+        # one dense 4(K+1)-square complex matrix would take 5.6 GB.
+        code, out, _ = run_cli(
+            ["simulate", "--engine", "both", "--nbar", "4000", "--steps", "3",
+             "--q", "0.9", "--q", "0.3"], capsys)
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [r["q"] for r in rows] == ["0.9"] * 3 + ["0.3"] * 3
+        assert all(float(r["max_dev"]) <= 1e-6 for r in rows)
+
     def test_exact_engine_alone(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "--engine", "exact", "--q", "0.5", "--steps", "3",

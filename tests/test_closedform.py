@@ -88,7 +88,7 @@ class TestAmplitudeQuadruple:
             assert np.sum(np.abs(column) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_cutoff_below_one_manifold(self):
-        # The same error build_hamiltonian raises for the same condition.
+        # The same error Propagator raises for the same condition.
         with pytest.raises(ConfigurationError, match="2m"):
             amplitude_table(0.0, excited_pair(), coherent_weights(0.0, 1),
                             HamiltonianSpec(1.0, m=1))

@@ -9,15 +9,16 @@ from qdcavity import (
     ConfigurationError,
     HamiltonianSpec,
     Propagator,
-    build_hamiltonian,
     coherent_weights,
     choose_cutoff,
     initial_composite_state,
     reduced_atomic_state,
 )
 from qdcavity.algebra import q_number
-from qdcavity.exact import _manifold_blocks, deformed_lowering_power
-from conftest import normalized_atoms
+from qdcavity.exact import (_block_stacks, _manifold_blocks,
+                            deformed_lowering_power)
+from conftest import (apply_hamiltonian, build_hamiltonian,
+                      normalized_atoms)
 
 
 def excited_pair():
@@ -74,8 +75,28 @@ class TestDeformedLadder:
 
 class TestBuildHamiltonian:
     def test_rejects_small_cutoff(self):
-        with pytest.raises(ConfigurationError):
-            build_hamiltonian(HamiltonianSpec(1.0, m=2, q=1.0), 3)
+        with pytest.raises(ConfigurationError, match="one full manifold"):
+            Propagator(HamiltonianSpec(1.0, m=2, q=1.0), 3)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_block_stacks_match_dense_cut(self, m):
+        # The propagator's stacks, built from indices, are bit for bit the
+        # blocks cut out of the operator-level oracle, so eigh sees the
+        # same input either way.
+        for lam in (1.0, 1.3):
+            for q in (0.0, 0.5, 0.9, 1.0):
+                for cutoff in (2 * m, 2 * m + 1, 17, 60):
+                    spec = HamiltonianSpec(lam, m, q)
+                    h = build_hamiltonian(spec, cutoff)
+                    stacks = _block_stacks(spec, cutoff)
+                    flats = _manifold_blocks(cutoff, m)
+                    assert len(stacks) == len(flats) == 3
+                    for (flat, blocks), expected in zip(stacks, flats):
+                        assert np.array_equal(flat, expected)
+                        cut = h[flat[:, :, None], flat[:, None, :]]
+                        assert blocks.dtype == cut.dtype
+                        assert blocks.tobytes() == cut.tobytes(), (
+                            lam, q, cutoff)
 
     def test_hermitian(self):
         spec = HamiltonianSpec(0.7, m=2, q=0.5)
@@ -95,6 +116,17 @@ class TestBuildHamiltonian:
         assert h[idx["eg1"], idx["gg2"]] == pytest.approx(math.sqrt(2.0))
         assert h[idx["ge1"], idx["gg2"]] == pytest.approx(math.sqrt(2.0))
         assert h[idx["ee0"], idx["gg2"]] == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_operator_form_matches_dense_oracle(self, m, rng):
+        # The linear-memory H psi of the large-input tests against the
+        # dense oracle.
+        spec = HamiltonianSpec(1.3, m, 0.7)
+        psi = rng.normal(size=(4, 5 * m)) + 1j * rng.normal(size=(4, 5 * m))
+        np.testing.assert_allclose(
+            apply_hamiltonian(spec, psi).reshape(-1),
+            build_hamiltonian(spec, 5 * m - 1) @ psi.reshape(-1),
+            rtol=0, atol=1e-12)
 
     def test_manifold_closure(self):
         # The stacks partition the basis into the manifolds, members in

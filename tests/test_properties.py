@@ -4,15 +4,15 @@ acceptance suite: the closed form against the exact propagator, and the
 exact propagator's conservation laws on arbitrary composite states."""
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qdcavity import (CompositeState, HamiltonianSpec, Propagator,
-                      build_hamiltonian, choose_cutoff, coherent_weights,
-                      decompose, evolved_bloch, initial_composite_state,
+                      choose_cutoff, coherent_weights, decompose,
+                      evolved_bloch, initial_composite_state,
                       reduced_atomic_state)
 from qdcavity.states import max_deviation
-from conftest import normalized_atoms
+from conftest import apply_hamiltonian, build_hamiltonian, normalized_atoms
 
 component = st.floats(-1.0, 1.0, allow_nan=False)
 amplitudes = st.lists(component, min_size=8, max_size=8).filter(
@@ -51,3 +51,26 @@ def test_exact_propagator_conserves_norm_and_energy(lam, q, m, t, data):
     psi = Propagator(spec, cutoff).evolve(state, t).amplitudes.reshape(-1)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
     assert abs((psi.conj() @ h @ psi).real - e0) < 1e-9 * max(1.0, abs(e0))
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(lam=st.floats(0.1, 3.0), q=st.floats(0.0, 1.0), m=st.integers(1, 3),
+       nbar=st.floats(400.0, 4000.0), t=st.floats(0.0, 20.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(lam=1.0, q=0.9, m=1, nbar=4000.0, t=20.0, seed=0)
+def test_large_cutoff_propagator_conserves_norm_and_energy(lam, q, m, nbar,
+                                                           t, seed):
+    # Cutoffs of 600 to 4,700 with every manifold populated; H psi is
+    # applied in operator form, so no matrix here is 4(K+1)-square.
+    cutoff = choose_cutoff(nbar, m)
+    rng = np.random.default_rng(seed)
+    amps = (rng.normal(size=(4, cutoff + 1))
+            + 1j * rng.normal(size=(4, cutoff + 1)))
+    state = CompositeState(cutoff, amps / np.linalg.norm(amps))
+    spec = HamiltonianSpec(lam, m, q)
+    e0 = np.vdot(state.amplitudes,
+                 apply_hamiltonian(spec, state.amplitudes)).real
+    psi = Propagator(spec, cutoff).evolve(state, t).amplitudes
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
+    e = np.vdot(psi, apply_hamiltonian(spec, psi)).real
+    assert abs(e - e0) < 1e-9 * max(1.0, abs(e0))
