@@ -11,6 +11,7 @@ float; check_deformation is the one place that checks it lies in [0, 1].
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,16 @@ def ladder_elements(cutoff: int, m: int, q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Truncated coherent field: real amplitudes W_0..W_cutoff with
-    squared mass within tail_eps of unity."""
+    """Truncated coherent field: real amplitudes W_0..W_cutoff whose
+    squared mass lies in [1 - tail_eps, 1] up to log-space rounding.
+
+    2 log W_n = n log nbar - lgamma(n+1) - nbar subtracts terms of up to
+    about lgamma(cutoff+2) where the weight lies.  An ulp in log, half an
+    ulp in the product and one in lgamma put up to 3 eps lgamma(cutoff+2)
+    on it (C. Loader, 2000, on log-space binomial terms); exp and the
+    square add ~3 eps, below eps lgamma(cutoff+2) once cutoff >= 3.  So
+    the window admits 4 eps lgamma(cutoff+2) either side.
+    """
 
     mean_photons: float
     cutoff: int
@@ -102,43 +111,51 @@ class FieldSpec:
         if not np.all(w >= 0):
             raise ValueError("coherent weights must be nonnegative")
         mass = float(np.sum(w * w))
-        if not 1.0 - self.tail_eps <= mass <= 1.0 + 1e-12:
+        rounding = 4 * sys.float_info.epsilon * math.lgamma(self.cutoff + 2)
+        if not 1.0 - self.tail_eps - rounding <= mass <= 1.0 + rounding:
             raise TruncationError(
-                f"weight mass {mass!r} outside [1 - {self.tail_eps:g}, 1]"
+                f"weight mass {mass!r} outside [1 - {self.tail_eps:g}, 1] "
+                f"by more than rounding {rounding:.1e}"
             )
 
 
-def coherent_weights(mean_photons: float, cutoff: int,
-                     tail_eps: float = 1e-12) -> FieldSpec:
-    """Coherent-state amplitudes W_n = nbar^(n/2) exp(-nbar/2)/sqrt(n!).
-
-    nbar is the mean photon number (amplitude alpha = sqrt(nbar), phase
-    fixed to zero), so W_n^2 is the Poisson distribution with mean nbar.
-    Computed in log space to survive large n.  Raises TruncationError if
-    the cutoff leaves more than tail_eps of squared mass outside.
+def _amplitudes(mean_photons: float, tail_eps: float,
+                cutoff: int = 0) -> np.ndarray:
+    """W_n = nbar^(n/2) exp(-nbar/2)/sqrt(n!) in log space, for n = 0 to
+    max(cutoff, N).  W_n^2 is the Poisson law of mean nbar (alpha =
+    sqrt(nbar), phase zero); its Bernstein bound P(n >= nbar + x) <=
+    exp(-x^2/(2(nbar + x/3))) = (e^-30 tail_eps)^2 gives N = nbar + x, so
+    the geometrically decaying W_n past N are negligible against tail_eps.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
     if not 0 <= mean_photons < math.inf:
         raise ValueError("mean photon number must be finite and nonnegative")
     if not (0.0 < tail_eps <= 1e-3):
         raise ValueError("tail_eps must lie in (0, 1e-3]")
+    log_delta = 2.0 * (30.0 - math.log(tail_eps))
+    bound = mean_photons + log_delta / 3.0 + math.sqrt(
+        log_delta * log_delta / 9.0 + 2.0 * log_delta * mean_photons)
+    if not bound <= 1_000_000:
+        raise TruncationError(f"nbar {mean_photons:g} needs over 1e6 Fock levels")
+    n = np.arange(max(cutoff, math.ceil(bound)) + 1, dtype=float)
     if mean_photons == 0:
-        w = np.zeros(cutoff + 1)
-        w[0] = 1.0
-        return FieldSpec(mean_photons, cutoff, w, tail_eps)
-    n = np.arange(cutoff + 1, dtype=float)
+        return (n == 0).astype(float)
     log_w = 0.5 * (n * math.log(mean_photons)
                    - np.array([math.lgamma(v + 1.0) for v in n])) \
         - mean_photons / 2.0
-    w = np.exp(log_w)
-    mass = float(np.sum(w * w))
-    if not mass >= 1.0 - tail_eps:
-        raise TruncationError(
-            f"cutoff {cutoff} keeps squared mass {mass:.15f}; tail "
-            f"{1.0 - mass:.3e} exceeds tail_eps {tail_eps:g}"
-        )
-    return FieldSpec(mean_photons, cutoff, w, tail_eps)
+    return np.exp(log_w)
+
+
+def coherent_weights(mean_photons: float, cutoff: int,
+                     tail_eps: float = 1e-12) -> FieldSpec:
+    """Coherent amplitudes W_0..W_cutoff, never renormalised.  Raises
+    TruncationError if the squared mass dropped past the cutoff,
+    sum_{n>cutoff} W_n^2, exceeds tail_eps."""
+    w = _amplitudes(mean_photons, tail_eps, cutoff)
+    tail = float(np.sum(w[cutoff + 1:] ** 2))
+    if tail > tail_eps:
+        raise TruncationError(f"cutoff {cutoff} drops squared tail "
+                              f"{tail:.3e}, above tail_eps {tail_eps:g}")
+    return FieldSpec(mean_photons, cutoff, w[:cutoff + 1], tail_eps)
 
 
 def choose_cutoff(mean_photons: float, m: int, tail_eps: float = 1e-12) -> int:
@@ -146,36 +163,14 @@ def choose_cutoff(mean_photons: float, m: int, tail_eps: float = 1e-12) -> int:
     with a 2m margin for the index shifts n+m, n+2m in the dynamics.
 
     The tail is measured on the amplitudes: the cutoff is K + 2m where K
-    is the smallest index with sum_{n>K} W_n < tail_eps.  This is the
-    conservative reading (amplitude tail dominates squared-mass tail), so
-    the FieldSpec mass invariant holds a fortiori.
+    is the smallest index with sum_{n>K} W_n < tail_eps, so the squared
+    tail coherent_weights checks is below tail_eps^2.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if not (0.0 < tail_eps <= 1e-3):
-        raise ValueError("tail_eps must lie in (0, 1e-3]")
-    if not 0 <= mean_photons < math.inf:
-        raise ValueError("mean photon number must be finite and nonnegative")
-    if mean_photons == 0:
-        return 2 * m
-    # Extend until the terms are negligible, then locate the tail cut.
-    log_half_nbar = 0.5 * math.log(mean_photons)
-    terms = []
-    n = 0
-    while True:
-        log_w = n * log_half_nbar - 0.5 * math.lgamma(n + 1.0) \
-            - mean_photons / 2.0
-        w = math.exp(log_w)
-        terms.append(w)
-        if n > mean_photons and w < 1e-25:
-            break
-        n += 1
-        if n > 1_000_000:  # pragma: no cover - defensive
-            raise TruncationError("coherent amplitude tail did not converge")
-    suffix = np.cumsum(np.asarray(terms)[::-1])[::-1]
-    # suffix[k] = sum_{n >= k} W_n; want smallest K with suffix[K+1] < eps.
-    tails = [*suffix[1:].tolist(), 0.0]
-    return next(k for k, tail in enumerate(tails) if tail < tail_eps) + 2 * m
+    # suffix[k] = sum_{n>=k} W_n, summed from the far end, never increases.
+    suffix = np.cumsum(_amplitudes(mean_photons, tail_eps)[::-1])[::-1]
+    return int(np.count_nonzero(suffix[1:] >= tail_eps)) + 2 * m
 
 
 def coherent_field(mean_photons: float, m: int,

@@ -103,11 +103,11 @@ def _amplitude_arrays(t, atoms: AtomicInitialState, field: FieldSpec,
 
     nu1, nu2, mu = _cached_couplings(field.cutoff, m, spec.lam, spec.q)
 
-    # Frozen manifolds have mu = 0; there sin(2 mu t)/(2 mu) -> t and
-    # sin^2(mu t)/mu^2 -> t^2, both multiplied by vanishing couplings.
+    # Frozen manifolds have mu = 0; there sin(2 mu t)/(2 mu) -> t, and swap
+    # is 0, not t^2 (which overflows): it only multiplies vanishing couplings.
     mu_safe = np.where(mu > 0.0, mu, 1.0)
     half_rabi = np.where(mu > 0.0, np.sin(2.0 * mu_safe * t) / (2.0 * mu_safe), t)
-    swap = np.where(mu > 0.0, (np.sin(mu_safe * t) / mu_safe) ** 2, t * t)
+    swap = np.where(mu > 0.0, (np.sin(mu_safe * t) / mu_safe) ** 2, 0.0)
     cos_sq = np.cos(mu * t) ** 2
     sin_sq = np.sin(mu * t) ** 2
 

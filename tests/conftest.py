@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,41 @@ def apply_hamiltonian(spec, psi: np.ndarray) -> np.ndarray:
     raised[:, m:] = ladder[m:] * psi[:, :-m]
     low = collective_lowering()
     return spec.lam * (low.T @ lowered + low @ raised)
+
+
+def reference_amplitudes(mean_photons: float, count: int) -> np.ndarray:
+    """W_0..W_{count-1} from the log formula coherent_weights has always
+    used, with no truncation or mass check."""
+    if mean_photons == 0:
+        w = np.zeros(count)
+        w[0] = 1.0
+        return w
+    n = np.arange(count, dtype=float)
+    log_w = 0.5 * (n * math.log(mean_photons)
+                   - np.array([math.lgamma(v + 1.0) for v in n])) \
+        - mean_photons / 2.0
+    return np.exp(log_w)
+
+
+def reference_cutoff(mean_photons: float, m: int,
+                     tail_eps: float = 1e-12) -> int:
+    """The scalar loop choose_cutoff ran before its amplitudes came from
+    one array: extend term by term, with its own log formula, until past
+    nbar the amplitudes drop below 1e-25, then locate the tail cut."""
+    if mean_photons == 0:
+        return 2 * m
+    log_half_nbar = 0.5 * math.log(mean_photons)
+    terms = []
+    n = 0
+    while True:
+        log_w = n * log_half_nbar - 0.5 * math.lgamma(n + 1.0) \
+            - mean_photons / 2.0
+        w = math.exp(log_w)
+        terms.append(w)
+        if n > mean_photons and w < 1e-25:
+            break
+        n += 1
+    suffix = np.cumsum(np.asarray(terms)[::-1])[::-1]
+    # suffix[k] = sum_{n >= k} W_n; want smallest K with suffix[K+1] < eps.
+    tails = [*suffix[1:].tolist(), 0.0]
+    return next(k for k, tail in enumerate(tails) if tail < tail_eps) + 2 * m

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdcavity import (
+    FieldSpec,
     TruncationError,
     check_deformation,
     choose_cutoff,
@@ -16,6 +17,7 @@ from qdcavity import (
     q_number,
 )
 from qdcavity.closedform import _cached_couplings
+from conftest import reference_amplitudes, reference_cutoff
 
 
 def exact_q_number(n, q):
@@ -214,6 +216,21 @@ class TestCoherentWeights:
     def test_insufficient_cutoff(self):
         with pytest.raises(TruncationError, match="tail"):
             coherent_weights(10.0, 15, 1e-12)
+        with pytest.raises(TruncationError, match="tail"):
+            coherent_weights(3847.0, 3800)
+
+    @pytest.mark.parametrize("nbar", [10.0, 400.0])
+    def test_never_renormalised(self, nbar):
+        w = coherent_field(nbar, 1).weights
+        assert (w / np.linalg.norm(w)).tobytes() != w.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0 - 1e-9, 1.0 + 1e-9])
+    def test_mass_off_by_more_than_rounding_rejected(self, scale):
+        for nbar in (10.0, 3847.0, 50000.0):
+            field = coherent_field(nbar, 1)
+            off = field.weights * math.sqrt(scale)
+            with pytest.raises(TruncationError, match="mass"):
+                FieldSpec(nbar, field.cutoff, off)
 
     def test_rejects_bad_tail_eps(self):
         with pytest.raises(ValueError):
@@ -228,10 +245,37 @@ class TestChooseCutoff:
         assert choose_cutoff(0.0, 3, 1e-12) == 6
 
     def test_reference_value(self):
-        # Frozen from the amplitude-tail computation for nbar = 10.
+        # Frozen from the amplitude-tail computation.
         value = choose_cutoff(10.0, 1, 1e-12)
         assert value == 59
         assert 50 <= value <= 90
+        for nbar, cutoff in ((400.0, 627), (3847.0, 4519), (4000.0, 4684),
+                             (50000.0, 52395)):
+            assert choose_cutoff(nbar, 1) == cutoff
+
+    def test_matches_scalar_loop_reference(self):
+        # Cutoffs and weight bytes of the term-by-term loop and log
+        # formula the one amplitude array replaced.
+        nbars = np.concatenate([np.arange(0.0, 50.0, 0.83),
+                                np.arange(50.0, 4001.0, 43.7), [4000.0]])
+        for nbar in nbars.tolist():
+            for tail_eps in (1e-12, 1e-6):
+                # The loop does not depend on m beyond the 2m margin.
+                base = reference_cutoff(nbar, 1, tail_eps)
+                weights = reference_amplitudes(nbar, base + 5)
+                for m in (1, 2, 3):
+                    cutoff = base + 2 * (m - 1)
+                    assert choose_cutoff(nbar, m, tail_eps) == cutoff
+                    field = coherent_weights(nbar, cutoff, tail_eps)
+                    assert np.array_equal(field.weights,
+                                          weights[:cutoff + 1]), nbar
+
+    @pytest.mark.parametrize("nbar", [2e6, 1e308])
+    def test_term_ceiling_raises_truncation(self, nbar):
+        with pytest.raises(TruncationError, match="Fock levels"):
+            choose_cutoff(nbar, 1)
+        with pytest.raises(TruncationError, match="Fock levels"):
+            coherent_weights(nbar, 30)
 
     def test_margin_arithmetic(self):
         assert choose_cutoff(10.0, 2, 1e-12) == choose_cutoff(10.0, 1, 1e-12) + 2

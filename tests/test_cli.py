@@ -171,6 +171,17 @@ class TestSimulate:
         assert [r["q"] for r in rows] == ["0.9"] * 3 + ["0.3"] * 3
         assert all(float(r["max_dev"]) <= 1e-6 for r in rows)
 
+    def test_both_engines_agree_at_nbar_3847(self, capsys):
+        # Cutoff 4,519 keeps a squared mass 1.9e-12 short of unity from
+        # log-space rounding alone, which is not truncation.
+        code, out, err = run_cli(
+            ["simulate", "--engine", "both", "--nbar", "3847", "--steps", "3",
+             "--q", "0.5"], capsys)
+        assert code == 0, err
+        _, rows = csv_rows(out)
+        assert len(rows) == 3
+        assert all(float(r["max_dev"]) <= 1e-6 for r in rows)
+
     def test_exact_engine_alone(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "--engine", "exact", "--q", "0.5", "--steps", "3",
@@ -310,6 +321,19 @@ class TestPositivityWarnings:
         assert err == (f"warning: {len(calls)} non-positive state(s), "
                        "first: negative eigenvalue -1.000e-03 below floor\n")
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "teleport"])
+def test_huge_time_gives_finite_cells(command, capsys):
+    # Frozen manifolds must not square t: (1e155)^2 overflows.  At this
+    # lambda t the phases carry no digits, so the engines are not compared.
+    code, out, err = run_cli([command, "--t-max", "1e155", "--steps", "3"],
+                             capsys)
+    assert code == 0, err
+    _, rows = csv_rows(out)
+    assert len(rows) == (3 if command == "simulate" else 12)
+    assert all(np.isfinite(float(value)) for row in rows
+               for key, value in row.items() if key != "branch")
 
 
 class TestPresetConsistency:

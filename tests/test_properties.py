@@ -3,16 +3,19 @@ multiplicities, field strengths and times, beyond the fixed grid of the
 acceptance suite: the closed form against the exact propagator, and the
 exact propagator's conservation laws on arbitrary composite states."""
 
+import math
+
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qdcavity import (CompositeState, HamiltonianSpec, Propagator,
-                      choose_cutoff, coherent_weights, decompose,
-                      evolved_bloch, initial_composite_state,
+                      choose_cutoff, coherent_field, coherent_weights,
+                      decompose, evolved_bloch, initial_composite_state,
                       reduced_atomic_state)
 from qdcavity.states import max_deviation
-from conftest import apply_hamiltonian, build_hamiltonian, normalized_atoms
+from conftest import (apply_hamiltonian, build_hamiltonian, normalized_atoms,
+                      reference_amplitudes)
 
 component = st.floats(-1.0, 1.0, allow_nan=False)
 amplitudes = st.lists(component, min_size=8, max_size=8).filter(
@@ -74,3 +77,17 @@ def test_large_cutoff_propagator_conserves_norm_and_energy(lam, q, m, nbar,
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
     e = np.vdot(psi, apply_hamiltonian(spec, psi)).real
     assert abs(e - e0) < 1e-9 * max(1.0, abs(e0))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(nbar=st.floats(2200.0, 4000.0), m=st.integers(1, 3))
+@example(nbar=3847.0, m=1)
+@example(nbar=50000.0, m=1)
+def test_large_nbar_field_is_built(nbar, m):
+    # Log-space rounding moves the kept mass by up to a few
+    # eps * lgamma(cutoff + 2); only the dropped tail counts as truncation.
+    field = coherent_field(nbar, m)
+    dropped = reference_amplitudes(nbar, 2 * field.cutoff)[field.cutoff + 1:]
+    assert float(np.sum(dropped**2)) <= field.tail_eps
+    rounding = 4 * np.finfo(float).eps * math.lgamma(field.cutoff + 2)
+    assert abs(float(np.sum(field.weights**2)) - 1.0) <= rounding
