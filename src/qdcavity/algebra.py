@@ -28,10 +28,11 @@ __all__ = [
     "time_chunks",
 ]
 
-# (time, Fock level) cells per chunk of a time sweep.  Chunk arrays then stay
-# below numpy's 256 KiB threshold for reusing temporaries in place (its
-# operand swap changes the last bit of complex products) and add < 0.5 MiB
-# to peak RSS; larger chunks were measured to add more.
+# Complex cells per chunk of a time sweep: a kernel chunk of (time, Fock
+# level) cells, or a block of 4x4 matrices (16 cells per time).  Kernel
+# arrays then stay below numpy's 256 KiB threshold for reusing temporaries
+# in place (its operand swap changes the last bit of complex products) and
+# add < 0.5 MiB to peak RSS; larger chunks were measured to add more.
 CHUNK_CELLS = 2**12
 
 
@@ -180,7 +181,9 @@ def coherent_field(mean_photons: float, m: int,
     return coherent_weights(mean_photons, cutoff, tail_eps)
 
 
-def time_chunks(times: np.ndarray, cutoff: int) -> list[np.ndarray]:
-    """Consecutive slices of max(1, CHUNK_CELLS // (cutoff + 1)) times."""
-    rows = max(1, CHUNK_CELLS // (cutoff + 1))
+def time_chunks(times: np.ndarray, width: int) -> list[np.ndarray]:
+    """Consecutive slices of max(1, CHUNK_CELLS // width) times, for width
+    cells per time: cutoff + 1 for the kernel's chunks, 16 for a block of
+    4x4 matrices."""
+    rows = max(1, CHUNK_CELLS // width)
     return [times[start:start + rows] for start in range(0, len(times), rows)]

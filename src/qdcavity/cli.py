@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, closedform, states, teleport
+from . import __version__, states, teleport
 from .sweep import SweepConfig, sweep
 from .validate import ideal_channel_shortfall, run_all_checks
 
@@ -53,7 +53,15 @@ def parse_complex(text: str) -> complex:
 
 
 def fmt(value: float) -> str:
-    return f"{float(value) or 0.0:.12g}"  # `or` turns -0.0 into 0.0
+    return "%.12g" % (float(value) + 0.0)  # + 0.0 turns -0.0 into 0.0
+
+
+def format_rows(values) -> list[str]:
+    """One CSV line per row of np.column_stack(values), each cell printed
+    as fmt prints it, with one % per row."""
+    rows = (np.column_stack(values) + 0.0).tolist()
+    template = ",".join(["%.12g"] * len(rows[0]))
+    return [template % tuple(row) for row in rows]
 
 
 def fmt_complex(value: complex) -> str:
@@ -160,9 +168,9 @@ def cmd_simulate(config: SweepConfig, stream) -> int:
         print(line, file=stream)
     print(",".join(columns), file=stream)
     warnings = []
-    for q, times, table, reduced in sweep(config):
-        bloch = (states.decompose(reduced) if table is None
-                 else closedform.bloch_from_table(table))
+    for q, times, bloch, reduced in sweep(config):
+        if bloch is None:
+            bloch = states.decompose(reduced)
         rho = states.compose(bloch)
         warnings.extend(rho.warnings)
         values = [
@@ -175,8 +183,7 @@ def cmd_simulate(config: SweepConfig, stream) -> int:
         if config.engine == "both":
             values.append(states.max_deviation(
                 bloch, states.decompose(reduced)))
-        for row in np.column_stack(values):
-            print(",".join(fmt(v) for v in row), file=stream)
+        print("\n".join(format_rows(values)), file=stream)
     _report_positivity(warnings)
     return 0
 
@@ -199,9 +206,8 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
     columns = TELEPORT_COLUMNS + (("max_dev",) if config.engine == "both" else ())
     print(",".join(columns), file=stream)
     warnings = []
-    for q, times, table, reduced in sweep(config):
-        channel = (reduced if table is None
-                   else states.compose(closedform.bloch_from_table(table)))
+    for q, times, bloch, reduced in sweep(config):
+        channel = reduced if bloch is None else states.compose(bloch)
         outcomes = teleport.circuit_teleport(channel, unknown)
         f_avg = teleport.average_fidelity(outcomes, unknown)
         exact_outcomes = (teleport.circuit_teleport(reduced, unknown)
@@ -220,10 +226,13 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
                     outcome.sb - exact_outcomes[index].sb), axis=-1))
             branches.append(np.column_stack(values))
         # Rows run time-major: the four branches of one time, then the next.
-        for t, per_time in zip(times, np.stack(branches, axis=1)):
-            for label, row in zip(teleport.OUTCOME_LABELS, per_time):
-                print(",".join([fmt(config.lam * t), fmt(q), label,
-                                *(fmt(v) for v in row)]), file=stream)
+        count = len(teleport.OUTCOME_LABELS)
+        leads = format_rows([np.repeat(config.lam * times, count),
+                             np.full(count * len(times), q)])
+        cells = format_rows(
+            [np.stack(branches, axis=1).reshape(count * len(times), -1)])
+        print("\n".join(f"{lead},{label},{rest}" for lead, label, rest in zip(
+            leads, teleport.OUTCOME_LABELS * len(times), cells)), file=stream)
     _report_positivity(warnings)
     return 0
 

@@ -13,7 +13,9 @@ ladder elements of algebra.ladder_elements, which vanish below m photons,
 so couplings to missing states are zero there.  That keeps the same
 formulas valid and makes the table exhaust the whole truncated space
 (total weight 1 for any initial state).  A 1-D array of times in place
-of one time puts a leading time axis on every result.
+of one time puts a leading time axis on every result; amplitude_table
+writes the stacked table into a caller's buffer when given one, which is
+how sweep.sweep reuses one buffer for every chunk of a sweep.
 """
 
 import functools
@@ -90,7 +92,7 @@ def _cached_couplings(cutoff: int, m: int, lam: float, q_value: float):
 
 
 def _amplitude_arrays(t, atoms: AtomicInitialState, field: FieldSpec,
-                      spec: HamiltonianSpec) -> np.ndarray:
+                      spec: HamiltonianSpec, out=None) -> np.ndarray:
     a1, a2, a3, a4 = atoms.amplitudes
     m = spec.m
     t = np.asarray(t, dtype=float)[..., None]  # ([T,] 1) against n
@@ -105,29 +107,39 @@ def _amplitude_arrays(t, atoms: AtomicInitialState, field: FieldSpec,
 
     # Frozen manifolds have mu = 0; there sin(2 mu t)/(2 mu) -> t, and swap
     # is 0, not t^2 (which overflows): it only multiplies vanishing couplings.
+    # Where mu > 0, mu_safe is mu, so swap and sin_sq share one sin(mu t).
     mu_safe = np.where(mu > 0.0, mu, 1.0)
     half_rabi = np.where(mu > 0.0, np.sin(2.0 * mu_safe * t) / (2.0 * mu_safe), t)
-    swap = np.where(mu > 0.0, (np.sin(mu_safe * t) / mu_safe) ** 2, 0.0)
+    sin_mu_t = np.sin(mu * t)
+    swap = np.where(mu > 0.0, (sin_mu_t / mu_safe) ** 2, 0.0)
     cos_sq = np.cos(mu * t) ** 2
-    sin_sq = np.sin(mu * t) ** 2
+    sin_sq = sin_mu_t ** 2
 
     drive = a1 * nu1 * w_n + a4 * nu2 * w_n2m
-    c1 = a1 * w_n - nu1 * drive * swap \
-        - 1j * nu1 * (a2 + a3) * w_nm * half_rabi
-    c2 = w_nm * (a2 * cos_sq - a3 * sin_sq) - 1j * drive * half_rabi
-    c3 = w_nm * (a3 * cos_sq - a2 * sin_sq) - 1j * drive * half_rabi
-    c4 = a4 * w_n2m - nu2 * drive * swap \
-        - 1j * nu2 * (a2 + a3) * w_nm * half_rabi
-    return np.stack([c1, c2, c3, c4], axis=-2)
+    if out is None:
+        out = np.empty(t.shape[:-1] + (4, w_n2m.size), dtype=complex)
+    # Each row is written in place.  Four row arrays held as well would
+    # take a chunk's temporaries past glibc's heap trim threshold, and
+    # every chunk would then take fresh pages.
+    np.subtract(a1 * w_n - nu1 * drive * swap,
+                1j * nu1 * (a2 + a3) * w_nm * half_rabi, out=out[..., 0, :])
+    np.subtract(w_nm * (a2 * cos_sq - a3 * sin_sq), 1j * drive * half_rabi,
+                out=out[..., 1, :])
+    np.subtract(w_nm * (a3 * cos_sq - a2 * sin_sq), 1j * drive * half_rabi,
+                out=out[..., 2, :])
+    np.subtract(a4 * w_n2m - nu2 * drive * swap,
+                1j * nu2 * (a2 + a3) * w_nm * half_rabi, out=out[..., 3, :])
+    return out
 
 
 def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
-                    spec: HamiltonianSpec) -> AmplitudeTable:
-    """All manifold amplitudes at time t, or at each time of a 1-D array."""
+                    spec: HamiltonianSpec, *, out=None) -> AmplitudeTable:
+    """All manifold amplitudes at time t, or at each time of a 1-D array,
+    written into out (complex, of the table's shape) when it is given."""
     if field.cutoff < 2 * spec.m:
         raise ConfigurationError(
             f"cutoff {field.cutoff} below one manifold span 2m = {2 * spec.m}")
-    return AmplitudeTable(spec.m, _amplitude_arrays(t, atoms, field, spec))
+    return AmplitudeTable(spec.m, _amplitude_arrays(t, atoms, field, spec, out))
 
 
 def evolved_bloch(t, atoms: AtomicInitialState, field: FieldSpec,

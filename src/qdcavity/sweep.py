@@ -1,15 +1,16 @@
 """The one time sweep behind `simulate`, `teleport` and `validate`: a
 checked SweepConfig, and sweep(), which walks its time grid per q value
-in chunks of times (algebra.time_chunks) through one engine or both.
+in blocks of times (algebra.time_chunks) through one engine or both.
 SweepConfig holds only values a run reads; its checks reject every
-out-of-range or non-finite value before a caller writes anything.
+out-of-range or non-finite value, and every t_max whose largest phase
+overflows, before a caller writes anything.
 """
 
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import algebra, closedform, exact, teleport
+from . import algebra, closedform, exact, states, teleport
 
 __all__ = ["SweepConfig", "sweep"]
 
@@ -45,8 +46,22 @@ class SweepConfig:
         for q in self.q_values:
             self.hamiltonian(q)
         self._field = algebra.coherent_field(self.nbar, self.m, self.tail_eps)
+        self._check_phases()
         self._unknown = teleport.UnknownQubit(*map(complex, self._normalised(
             "unknown-qubit", (self.alpha, self.beta))))
+
+    def _check_phases(self):
+        """Reject a t_max whose largest phase is not finite: 2 mu t in the
+        closed kernel, 2 t on its frozen manifolds (mu = 0 is replaced by
+        1 there), and eigenvalue times t in the exact engine, whose
+        eigenvalues are 0 and +-2 mu."""
+        largest = max(float(np.max(closedform._cached_couplings(
+            self._field.cutoff, self.m, self.lam, q)[2])) for q in self.q_values)
+        phase = 2.0 * max(largest, 1.0) * (self.t_max / self.lam)
+        if not np.isfinite(phase):
+            raise ValueError(
+                f"t_max {self.t_max!r} at lambda {self.lam!r} overflows a "
+                f"phase: 2 t max(mu, 1) = {phase!r} for largest mu {largest!r}")
 
     def _normalised(self, name: str, amplitudes) -> tuple:
         """The amplitudes at unit norm: a norm more than 1e-6 from 1 is
@@ -82,21 +97,52 @@ class SweepConfig:
         return self._field
 
 
+# Complex cells of one 4x4 matrix: a block of CHUNK_CELLS // 16 times
+# holds as many cells as one kernel chunk.
+_MATRIX_CELLS = 16
+
+
 def sweep(config: SweepConfig):
-    """Yield (q, times, table, reduced) per q value and chunk of the time
-    grid: the closed-form AmplitudeTable (None under engine "exact") and
-    the exact engine's reduced atomic states (None under engine "closed")."""
+    """Yield (q, times, bloch, reduced) per q value and block of
+    CHUNK_CELLS // 16 times: the closed-form Bloch stack (None under engine
+    "exact") and the exact engine's reduced atomic states (None under
+    engine "closed").  Inside a block both engines run in kernel chunks of
+    CHUNK_CELLS // (cutoff + 1) times, and only their 4x4 results are
+    joined; every chunk's amplitude table is written into one buffer
+    allocated per sweep."""
     field = config.field()
     atoms = config.atomic_state()
+    width = field.cutoff + 1
     closed = config.engine in ("closed", "both")
     propagate = config.engine in ("exact", "both")
     initial = exact.initial_composite_state(atoms, field) if propagate else None
+    blocks = [(block, algebra.time_chunks(block, width)) for block in
+              algebra.time_chunks(config.time_grid, _MATRIX_CELLS)]
+    # The first chunk of the first block is the longest of the sweep.
+    buffer = (np.empty((len(blocks[0][1][0]), 4, width), dtype=complex)
+              if closed else None)
     for q in config.q_values:
         spec = config.hamiltonian(q)
         propagator = exact.Propagator(spec, field.cutoff) if propagate else None
-        for times in algebra.time_chunks(config.time_grid, field.cutoff):
-            table = (closedform.amplitude_table(times, atoms, field, spec)
-                     if closed else None)
-            reduced = (exact.reduced_atomic_state(
-                propagator.evolve(initial, times)) if propagate else None)
-            yield q, times, table, reduced
+        for block, chunks in blocks:
+            bloch = _join_bloch([closedform.bloch_from_table(
+                closedform.amplitude_table(times, atoms, field, spec,
+                                           out=buffer[:len(times)]))
+                for times in chunks]) if closed else None
+            reduced = _join_states([exact.reduced_atomic_state(
+                propagator.evolve(initial, times))
+                for times in chunks]) if propagate else None
+            yield q, block, bloch, reduced
+
+
+def _join_bloch(parts: list) -> states.TwoQubitBlochState:
+    return states.TwoQubitBlochState(
+        *(np.concatenate([getattr(part, name) for part in parts])
+          for name in ("s", "t", "cross")))
+
+
+def _join_states(parts: list) -> exact.DensityMatrix:
+    """The chunks' reduced states as one stack, already validated."""
+    return exact.DensityMatrix(
+        np.concatenate([part.matrix for part in parts]),
+        tuple(warning for part in parts for warning in part.warnings))

@@ -2,9 +2,11 @@
 of the closed-form engine with the exact propagator, and teleportation
 self-tests.  The CLI `validate` subcommand renders these results; the
 acceptance tests assert the same bounds independently.  Every time-sweep
-check runs sweep.sweep on a SweepConfig, the code path of `simulate` and
-`teleport`; the SweepConfig defaults give the excited pair |ee>,
-lambda = 1 and lambda*t in [0, 10].
+check reads a SweepConfig: those on Bloch vectors or reduced states run
+sweep.sweep, the code path of `simulate` and `teleport`, and the two that
+need the amplitude table itself build it on the config's time grid.  The
+SweepConfig defaults give the excited pair |ee>, lambda = 1 and lambda*t
+in [0, 10].
 """
 
 from dataclasses import dataclass
@@ -51,9 +53,14 @@ def engine_pair_deviation(q: float, m: int, nbar: float) -> float:
     representation and the decomposed exact propagator output: the
     largest max_dev of `simulate --engine both`."""
     config = SweepConfig(engine="both", q_values=(q,), m=m, nbar=nbar)
-    return max(np.max(states.max_deviation(
-        closedform.bloch_from_table(table), states.decompose(reduced)))
-        for _, _, table, reduced in sweep(config))
+    return max(np.max(states.max_deviation(bloch, states.decompose(reduced)))
+               for _, _, bloch, reduced in sweep(config))
+
+
+def _table(config: SweepConfig, q: float) -> closedform.AmplitudeTable:
+    """The closed-form amplitude table over the config's whole time grid."""
+    return closedform.amplitude_table(config.time_grid, config.atomic_state(),
+                                      config.field(), config.hamiltonian(q))
 
 
 def check_commutator() -> CheckResult:
@@ -97,7 +104,8 @@ def check_amplitude_normalization() -> CheckResult:
     worst = 0.0
     for m in (1, 2):
         config = SweepConfig(q_values=(0.0, 0.5, 0.9), m=m, steps=51)
-        for _, _, table, _ in sweep(config):
+        for q in config.q_values:
+            table = _table(config, q)
             worst = max(worst, np.max(np.abs(table.total_weight - 1.0)))
     return CheckResult("amplitude-normalization", worst < 1e-9,
                        f"worst deviation {worst:.3e}")
@@ -157,7 +165,9 @@ def check_bob_convention() -> CheckResult:
     receiver vector along the teleportation sweep."""
     unknown = teleport.UnknownQubit.from_bloch((1.0, 0.0, 0.0))
     worst = {"normalized": 0.0, "unnormalized": 0.0}
-    for _, _, table, _ in sweep(SweepConfig(q_values=(0.5, 0.9), steps=51)):
+    config = SweepConfig(q_values=(0.5, 0.9), steps=51)
+    for q in config.q_values:
+        table = _table(config, q)
         channel = states.compose(closedform.bloch_from_table(table))
         report = teleport.compare_bob_conventions(unknown, table, channel)
         for name in worst:
@@ -180,8 +190,7 @@ def check_physicality() -> CheckResult:
     purity_lo, purity_hi = 1.0, 0.25
     for q, m, nbar in equivalence_grid():
         config = SweepConfig(q_values=(q,), m=m, nbar=nbar, steps=26)
-        for _, _, table, _ in sweep(config):
-            bloch = closedform.bloch_from_table(table)
+        for _, _, bloch, _ in sweep(config):
             rho = states.compose(bloch)
             worst_eig = min(worst_eig, np.min(np.linalg.eigvalsh(rho.matrix)))
             traces = np.trace(rho.matrix, axis1=-2, axis2=-1).real
@@ -203,9 +212,8 @@ def entanglement_minima_info() -> list[str]:
     lines = []
     for q in (0.5, 0.9):
         config = SweepConfig(q_values=(q,))
-        values = np.concatenate([
-            states.entanglement_degree(closedform.bloch_from_table(table))
-            for _, _, table, _ in sweep(config)])[1:]
+        values = np.concatenate([states.entanglement_degree(bloch)
+                                 for _, _, bloch, _ in sweep(config)])[1:]
         times = config.time_grid[1:]
         lines.append(
             f"INFO entanglement-minimum q={q:g}: "

@@ -3,16 +3,18 @@ import io
 import numpy as np
 import pytest
 
-from qdcavity import DensityMatrix, algebra, states
+from qdcavity import DensityMatrix, algebra, closedform, states
 from qdcavity.cli import (
     SweepConfig,
     cmd_simulate,
     cmd_teleport,
     fmt,
     fmt_complex,
+    format_rows,
     main,
     parse_complex,
 )
+from qdcavity.sweep import sweep
 from qdcavity.validate import engine_pair_deviation
 
 
@@ -42,6 +44,14 @@ class TestParsing:
         assert fmt_complex(complex(0.6, -0.0)) == "0.6+0i"
         assert fmt_complex(complex(-0.0, -0.0)) == "0+0i"
         assert fmt_complex(complex(0.6, -0.5)) == "0.6-0.5i"
+
+    def test_rows_format_every_cell_as_fmt(self):
+        cells = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e16, 5e-324,
+                 123456789012.5]
+        assert format_rows([np.array(cells)]) == [fmt(v) for v in cells]
+        assert format_rows([np.array([cells])]) == [
+            ",".join(fmt(v) for v in cells)]
+        assert fmt(-0.0) == "0" and fmt(5e-324) == "4.94065645841e-324"
 
     def test_input_echo_drops_signed_zero(self, capsys):
         code, out, _ = run_cli(
@@ -336,6 +346,19 @@ def test_huge_time_gives_finite_cells(command, capsys):
                for key, value in row.items() if key != "branch")
 
 
+@pytest.mark.parametrize("command", ["simulate", "teleport"])
+def test_largest_finite_phase_runs(command, capsys):
+    # 2 mu t is about 1.5e307 here, below the float range; 1e308 is
+    # rejected before any output (TestBadConfigWritesNothing).
+    code, out, err = run_cli([command, "--t-max", "1e306", "--steps", "3",
+                              "--engine", "both"], capsys)
+    assert code == 0, err
+    _, rows = csv_rows(out)
+    assert len(rows) == (3 if command == "simulate" else 12)
+    assert all(np.isfinite(float(value)) for row in rows
+               for key, value in row.items() if key != "branch")
+
+
 class TestPresetConsistency:
     def test_wrong_subcommand_preset_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -375,25 +398,56 @@ class TestTimeChunks:
     @pytest.mark.parametrize("argv", SWEEPS, ids=["simulate", "teleport"])
     def test_bytes_do_not_depend_on_chunking(self, argv, capsys, monkeypatch):
         outputs = {}
-        # 1-row chunks, 7-row chunks (23 = 7 + 7 + 7 + 2), one chunk.
-        for cells in (1, 7 * 60, 23 * 60):
+        # Blocks of CHUNK_CELLS // 16 times, kernel chunks of
+        # CHUNK_CELLS // 60 inside them: 1-row blocks and chunks; 11-row
+        # blocks (23 = 11 + 11 + 1) of 3-row chunks (11 = 3 + 3 + 3 + 2),
+        # so a block ends inside a chunk's width; one block of 7-row
+        # chunks (23 = 7 + 7 + 7 + 2); one block of one chunk.
+        for cells in (1, 3 * 60, 7 * 60, 23 * 60):
             monkeypatch.setattr(algebra, "CHUNK_CELLS", cells)
             code, out, _ = run_cli(argv, capsys)
             assert code == 0
             outputs[cells] = out
-        assert outputs[1] == outputs[7 * 60] == outputs[23 * 60]
+        assert outputs[1] == outputs[3 * 60] == outputs[7 * 60] == \
+            outputs[23 * 60]
         _, rows = csv_rows(outputs[1])
         per_time = 4 if argv[0] == "teleport" else 1
         assert len(rows) == 2 * 23 * per_time
 
+    def test_blocks_share_one_table_buffer(self, monkeypatch):
+        # Cutoff 627: 256-time blocks of 6-time kernel chunks.
+        buffers = []
+        table = closedform.amplitude_table
+
+        def recording(*args, out):
+            buffers.append(out)
+            return table(*args, out=out)
+
+        monkeypatch.setattr(closedform, "amplitude_table", recording)
+        config = SweepConfig(q_values=(0.5, 0.9), nbar=400.0, steps=301)
+        assert [len(times) for _, times, _, _ in sweep(config)] == \
+            [256, 45] * 2
+        # 256 = 42 * 6 + 4 and 45 = 7 * 6 + 3 times per block.
+        assert [len(out) for out in buffers] == \
+            ([6] * 42 + [4] + [6] * 7 + [3]) * 2
+        assert all(out.base is buffers[0].base for out in buffers)
+        assert buffers[0].base.shape == (6, 4, 628)
+
     def test_chunks_cover_the_grid_once(self, monkeypatch):
         monkeypatch.setattr(algebra, "CHUNK_CELLS", 7 * 60)
         times = np.linspace(0.0, 1.0, 23)
-        chunks = algebra.time_chunks(times, 59)
+        chunks = algebra.time_chunks(times, 60)
         assert [len(c) for c in chunks] == [7, 7, 7, 2]
         assert np.array_equal(np.concatenate(chunks), times)
+        monkeypatch.setattr(algebra, "CHUNK_CELLS", 3 * 60)
+        blocks = algebra.time_chunks(times, 16)
+        assert [len(b) for b in blocks] == [11, 11, 1]
+        assert np.array_equal(np.concatenate(blocks), times)
+        assert [len(c) for c in algebra.time_chunks(blocks[0], 60)] == \
+            [3, 3, 3, 2]
         monkeypatch.setattr(algebra, "CHUNK_CELLS", 10)
-        assert [len(c) for c in algebra.time_chunks(times, 59)] == [1] * 23
+        assert [len(c) for c in algebra.time_chunks(times, 60)] == [1] * 23
+        assert [len(b) for b in algebra.time_chunks(times, 16)] == [1] * 23
 
 
 class TestBadConfigWritesNothing:
@@ -407,8 +461,13 @@ class TestBadConfigWritesNothing:
         ["simulate", "--nbar", "nan", "--steps", "3"],
         ["simulate", "--atoms", "nan,0,0,0", "--steps", "3"],
         ["teleport", "--alpha", "nan", "--beta", "0", "--steps", "3"],
+        ["simulate", "--t-max", "1e308", "--steps", "3"],
+        ["teleport", "--t-max", "1e308", "--steps", "3"],
+        ["simulate", "--lambda", "1e-300", "--t-max", "1e10", "--steps", "3"],
     ], ids=["q-out-of-range", "negative-nbar", "zero-m", "unnormalised-input",
-            "nan-t-max", "inf-lambda", "nan-nbar", "nan-atoms", "nan-alpha"])
+            "nan-t-max", "inf-lambda", "nan-nbar", "nan-atoms", "nan-alpha",
+            "phase-overflow-simulate", "phase-overflow-teleport",
+            "phase-overflow-tiny-lambda"])
     def test_no_output_and_no_file(self, argv, tmp_path, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == "" and err.startswith("error:")

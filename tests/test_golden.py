@@ -1,6 +1,6 @@
 """Golden SHA-256 hashes of the six figure presets, each run with
-`--engine closed`, `--engine exact` and `--engine both`, and of the
-`validate` report.
+`--engine closed`, `--engine exact` and `--engine both`, of two nbar 400
+sweeps at cutoff 627, and of the `validate` report.
 
 Every refactor or performance change must keep these bytes identical.
 A version bump (the provenance header carries the version) or a
@@ -37,6 +37,15 @@ GOLDEN = {
 
 VALIDATE_GOLDEN = "c6578bcf99a2834302436330f499d49f51b3d4ec0116fd12ddcd05fee6e437d9"
 
+# Cutoff 627 (nbar 400): six times per kernel chunk, and 301 steps leave a
+# last block of 45 times that ends inside a chunk.
+GOLDEN_627_ARGS = ["--nbar", "400", "--steps", "301", "--q", "0.9", "--q",
+                   "0.5", "--atoms=0.6+0.2i,0.1-0.3i,-0.3+0.5i,0+0.4i"]
+GOLDEN_627 = {
+    ("simulate", "both"): "13456cd3686198eba044686758f1ae8b0a21fb71148e7d8e18e40b30f72d4d2b",
+    ("teleport", "closed"): "7ece335d578d6c5fcd589150de7579ae3365c03b372fa246a6508298e526ebbd",
+}
+
 
 @pytest.mark.parametrize("fig,engine", sorted(GOLDEN),
                          ids=[f"{f}-{e}" for f, e in sorted(GOLDEN)])
@@ -53,3 +62,14 @@ def test_validate_report_matches_golden_hash(capsys):
     assert cli.main(["validate"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == VALIDATE_GOLDEN
+
+
+@pytest.mark.parametrize("command,engine", sorted(GOLDEN_627),
+                         ids=[f"{c}-{e}" for c, e in sorted(GOLDEN_627)])
+def test_cutoff_627_bytes_match_golden_hash(command, engine, tmp_path):
+    path = tmp_path / f"{command}-{engine}.csv"
+    assert cli.main([command, "--engine", engine, *GOLDEN_627_ARGS,
+                     "--out", str(path)]) == 0
+    assert "# cutoff=627" in path.read_text()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_627[(command, engine)]

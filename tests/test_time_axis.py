@@ -89,6 +89,17 @@ class TestClosedForm:
         assert_bloch_per_point(bloch_from_table(table),
                                [bloch_from_table(s) for s in singles])
 
+    def test_amplitude_table_into_buffer(self, closed_sweep):
+        times, atoms, field, spec = closed_sweep
+        buffer = np.full((len(times) + 2, 4, field.cutoff + 1), np.nan,
+                         dtype=complex)
+        table = amplitude_table(times, atoms, field, spec,
+                                out=buffer[:len(times)])
+        assert table.c.base is buffer
+        assert np.array_equal(table.c, amplitude_table(times, atoms, field,
+                                                       spec).c)
+        assert np.isnan(buffer[len(times):]).all()
+
     def test_evolved_bloch(self, closed_sweep):
         times, atoms, field, spec = closed_sweep
         assert_bloch_per_point(
