@@ -120,14 +120,11 @@ class FieldSpec:
             )
 
 
-def _amplitudes(mean_photons: float, tail_eps: float,
-                cutoff: int = 0) -> np.ndarray:
-    """W_n = nbar^(n/2) exp(-nbar/2)/sqrt(n!) in log space, for n = 0 to
-    max(cutoff, N).  W_n^2 is the Poisson law of mean nbar (alpha =
-    sqrt(nbar), phase zero); its Bernstein bound P(n >= nbar + x) <=
-    exp(-x^2/(2(nbar + x/3))) = (e^-30 tail_eps)^2 gives N = nbar + x, so
-    the geometrically decaying W_n past N are negligible against tail_eps.
-    """
+def _last_index(mean_photons: float, tail_eps: float) -> int:
+    """N = ceil(nbar + x) from the Bernstein bound on the Poisson law W_n^2
+    of mean nbar: P(n >= nbar + x) <= exp(-x^2/(2(nbar + x/3))) =
+    (e^-30 tail_eps)^2, so the geometrically decaying W_n past N are
+    negligible against tail_eps."""
     if not 0 <= mean_photons < math.inf:
         raise ValueError("mean photon number must be finite and nonnegative")
     if not (0.0 < tail_eps <= 1e-3):
@@ -137,7 +134,13 @@ def _amplitudes(mean_photons: float, tail_eps: float,
         log_delta * log_delta / 9.0 + 2.0 * log_delta * mean_photons)
     if not bound <= 1_000_000:
         raise TruncationError(f"nbar {mean_photons:g} needs over 1e6 Fock levels")
-    n = np.arange(max(cutoff, math.ceil(bound)) + 1, dtype=float)
+    return math.ceil(bound)
+
+
+def _amplitudes(mean_photons: float, size: int) -> np.ndarray:
+    """W_n = nbar^(n/2) exp(-nbar/2)/sqrt(n!) in log space, for n = 0 to
+    size - 1 (alpha = sqrt(nbar), phase zero)."""
+    n = np.arange(size, dtype=float)
     if mean_photons == 0:
         return (n == 0).astype(float)
     log_w = 0.5 * (n * math.log(mean_photons)
@@ -146,17 +149,34 @@ def _amplitudes(mean_photons: float, tail_eps: float,
     return np.exp(log_w)
 
 
-def coherent_weights(mean_photons: float, cutoff: int,
-                     tail_eps: float = 1e-12) -> FieldSpec:
-    """Coherent amplitudes W_0..W_cutoff, never renormalised.  Raises
-    TruncationError if the squared mass dropped past the cutoff,
-    sum_{n>cutoff} W_n^2, exceeds tail_eps."""
-    w = _amplitudes(mean_photons, tail_eps, cutoff)
+def _cutoff(w: np.ndarray, m: int, tail_eps: float) -> int:
+    """K + 2m, where K is the smallest index with sum_{n>K} W_n < tail_eps
+    over the amplitudes w = W_0..W_N."""
+    # suffix[k] = sum_{n>=k} W_n, summed from the far end, never increases.
+    suffix = np.cumsum(w[::-1])[::-1]
+    return int(np.count_nonzero(suffix[1:] >= tail_eps)) + 2 * m
+
+
+def _truncate(mean_photons: float, w: np.ndarray, cutoff: int,
+              tail_eps: float) -> FieldSpec:
+    """The field of w[:cutoff + 1], raising TruncationError if the squared
+    mass of the rest of w, which runs to max(cutoff, N), exceeds tail_eps."""
     tail = float(np.sum(w[cutoff + 1:] ** 2))
     if tail > tail_eps:
         raise TruncationError(f"cutoff {cutoff} drops squared tail "
                               f"{tail:.3e}, above tail_eps {tail_eps:g}")
     return FieldSpec(mean_photons, cutoff, w[:cutoff + 1], tail_eps)
+
+
+def coherent_weights(mean_photons: float, cutoff: int,
+                     tail_eps: float = 1e-12) -> FieldSpec:
+    """Coherent amplitudes W_0..W_cutoff, never renormalised.  Raises
+    TruncationError if the squared mass dropped past the cutoff,
+    sum_{n>cutoff} W_n^2, exceeds tail_eps."""
+    last = _last_index(mean_photons, tail_eps)
+    return _truncate(mean_photons, _amplitudes(mean_photons,
+                                               max(cutoff, last) + 1),
+                     cutoff, tail_eps)
 
 
 def choose_cutoff(mean_photons: float, m: int, tail_eps: float = 1e-12) -> int:
@@ -169,16 +189,22 @@ def choose_cutoff(mean_photons: float, m: int, tail_eps: float = 1e-12) -> int:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    # suffix[k] = sum_{n>=k} W_n, summed from the far end, never increases.
-    suffix = np.cumsum(_amplitudes(mean_photons, tail_eps)[::-1])[::-1]
-    return int(np.count_nonzero(suffix[1:] >= tail_eps)) + 2 * m
+    last = _last_index(mean_photons, tail_eps)
+    return _cutoff(_amplitudes(mean_photons, last + 1), m, tail_eps)
 
 
 def coherent_field(mean_photons: float, m: int,
                    tail_eps: float = 1e-12) -> FieldSpec:
-    """Coherent field truncated at choose_cutoff(mean_photons, m, tail_eps)."""
-    cutoff = choose_cutoff(mean_photons, m, tail_eps)
-    return coherent_weights(mean_photons, cutoff, tail_eps)
+    """Coherent field truncated at choose_cutoff(mean_photons, m, tail_eps).
+    That cutoff is at most N + 2m, so one amplitude array, the weights
+    W_0..W_{N+2m}, yields both the cutoff and the truncated field."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    last = _last_index(mean_photons, tail_eps)
+    w = coherent_weights(mean_photons, last + 2 * m, tail_eps).weights
+    cutoff = _cutoff(w[:last + 1], m, tail_eps)
+    return _truncate(mean_photons, w[:max(cutoff, last) + 1], cutoff,
+                     tail_eps)
 
 
 def time_chunks(times: np.ndarray, width: int) -> list[np.ndarray]:

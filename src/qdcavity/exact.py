@@ -8,7 +8,10 @@ Hermitian blocks from their indices, one stack per block size (1, 3 or
 stack once and reuses the decomposition for every evolution time.
 Atomic basis order is ee, eg, ge, gg with the excited level first.
 Evolving to a 1-D array of times gives stacked states, density matrices
-and reductions, with the times on the leading axis.
+and reductions, with the times on the leading axis.  Propagator.evolve
+writes the evolved amplitudes into a caller's buffer when given one,
+which is how sweep.sweep reuses one buffer for every chunk of a sweep;
+each stack's phases are exponentiated and weighted in place.
 """
 
 from dataclasses import dataclass
@@ -207,8 +210,9 @@ class Propagator:
 
     One stack per block size, built from its indices (memory linear in
     the cutoff) and eigendecomposed once; the stacks are immutable after
-    construction, so a single instance may be shared across threads and
-    evolution times.
+    construction, and evolve keeps no buffer between calls (an out=
+    buffer belongs to its caller), so a single instance may be shared
+    across threads and evolution times.
     """
 
     def __init__(self, spec: HamiltonianSpec, cutoff: int):
@@ -220,22 +224,43 @@ class Propagator:
         self._stacks = [(flat, *np.linalg.eigh(blocks))
                         for flat, blocks in _block_stacks(spec, cutoff)]
 
-    def evolve(self, state: CompositeState, t) -> CompositeState:
+    def evolve(self, state: CompositeState, t, *, out=None) -> CompositeState:
         """psi(t) = exp(-i H t) psi(0), one stack of blocks at a time, at
-        one time t or at each time of a 1-D array (a stack of states)."""
+        one time t or at each time of a 1-D array (a stack of states).
+
+        The amplitudes are written into out when it is given: a
+        caller-owned C-contiguous complex array of shape
+        t.shape + (4, cutoff + 1), apart from the state's amplitudes,
+        which the returned state wraps.  A wrong out raises before
+        anything is written."""
         t = np.asarray(t, dtype=float)
         if not np.all(t >= 0):
             raise ValueError("evolution time must be nonnegative")
         if state.cutoff != self.cutoff:
             raise ConfigurationError("state cutoff does not match propagator")
-        psi0 = state.amplitudes.reshape(4 * (self.cutoff + 1))
-        amps = np.empty(t.shape + psi0.shape, dtype=complex)
+        shape = t.shape + (4, self.cutoff + 1)
+        if out is None:
+            out = np.empty(shape, dtype=complex)
+        elif (out.shape != shape or out.dtype != complex
+              or not out.flags.c_contiguous
+              or np.may_share_memory(out, state.amplitudes)):
+            raise ValueError(f"out must be a C-contiguous complex array of "
+                             f"shape {shape} apart from the state, got "
+                             f"{out.dtype} {out.shape}")
+        psi0 = state.amplitudes.reshape(-1)
+        amps = out.reshape(t.shape + psi0.shape)
         for flat, eigvals, eigvecs in self._stacks:
-            # V^H psi0 once, (B, k, 1); phases per time, ([T,] B, k, 1).
+            # V^H psi0 once, (B, k, 1); phases per time, ([T,] B, k, 1),
+            # exponentiated and weighted in place.  The product V phases
+            # is the one other array: matmul cannot write over its own
+            # operand without numpy copying that operand first.
             coefficients = eigvecs.conj().mT @ psi0[flat][:, :, None]
-            phases = np.exp(-1j * eigvals * t[..., None, None])[..., None]
-            amps[..., flat] = (eigvecs @ (phases * coefficients))[..., 0]
-        return CompositeState(self.cutoff, amps.reshape(t.shape + (4, -1)))
+            phases = np.empty(t.shape + coefficients.shape, dtype=complex)
+            np.multiply(-1j * eigvals, t[..., None, None], out=phases[..., 0])
+            np.exp(phases, out=phases)
+            np.multiply(phases, coefficients, out=phases)
+            amps[..., flat] = (eigvecs @ phases)[..., 0]
+        return CompositeState(self.cutoff, out)
 
 
 def initial_composite_state(atoms: AtomicInitialState,

@@ -108,7 +108,8 @@ def sweep(config: SweepConfig):
     "exact") and the exact engine's reduced atomic states (None under
     engine "closed").  Inside a block both engines run in kernel chunks of
     CHUNK_CELLS // (cutoff + 1) times, and only their 4x4 results are
-    joined; every chunk's amplitude table is written into one buffer
+    joined.  Both engines write every chunk's amplitudes (the closed
+    form's table, the exact engine's evolved state) into one buffer
     allocated per sweep."""
     field = config.field()
     atoms = config.atomic_state()
@@ -119,8 +120,7 @@ def sweep(config: SweepConfig):
     blocks = [(block, algebra.time_chunks(block, width)) for block in
               algebra.time_chunks(config.time_grid, _MATRIX_CELLS)]
     # The first chunk of the first block is the longest of the sweep.
-    buffer = (np.empty((len(blocks[0][1][0]), 4, width), dtype=complex)
-              if closed else None)
+    buffer = np.empty((len(blocks[0][1][0]), 4, width), dtype=complex)
     for q in config.q_values:
         spec = config.hamiltonian(q)
         propagator = exact.Propagator(spec, field.cutoff) if propagate else None
@@ -130,7 +130,7 @@ def sweep(config: SweepConfig):
                                            out=buffer[:len(times)]))
                 for times in chunks]) if closed else None
             reduced = _join_states([exact.reduced_atomic_state(
-                propagator.evolve(initial, times))
+                propagator.evolve(initial, times, out=buffer[:len(times)]))
                 for times in chunks]) if propagate else None
             yield q, block, bloch, reduced
 

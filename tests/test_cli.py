@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from qdcavity import DensityMatrix, algebra, closedform, states
+from qdcavity import DensityMatrix, algebra, closedform, exact, states
 from qdcavity.cli import (
     SweepConfig,
     cmd_simulate,
@@ -428,6 +428,26 @@ class TestTimeChunks:
         assert [len(times) for _, times, _, _ in sweep(config)] == \
             [256, 45] * 2
         # 256 = 42 * 6 + 4 and 45 = 7 * 6 + 3 times per block.
+        assert [len(out) for out in buffers] == \
+            ([6] * 42 + [4] + [6] * 7 + [3]) * 2
+        assert all(out.base is buffers[0].base for out in buffers)
+        assert buffers[0].base.shape == (6, 4, 628)
+
+    @pytest.mark.parametrize("engine", ["exact", "both"])
+    def test_blocks_share_one_state_buffer(self, engine, monkeypatch):
+        # Cutoff 627: 256-time blocks of 6-time kernel chunks.
+        buffers = []
+        evolve = exact.Propagator.evolve
+
+        def recording(self, state, t, *, out):
+            buffers.append(out)
+            return evolve(self, state, t, out=out)
+
+        monkeypatch.setattr(exact.Propagator, "evolve", recording)
+        config = SweepConfig(engine=engine, q_values=(0.5, 0.9), nbar=400.0,
+                             steps=301)
+        assert [len(times) for _, times, _, _ in sweep(config)] == \
+            [256, 45] * 2
         assert [len(out) for out in buffers] == \
             ([6] * 42 + [4] + [6] * 7 + [3]) * 2
         assert all(out.base is buffers[0].base for out in buffers)

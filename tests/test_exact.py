@@ -205,7 +205,9 @@ class TestPropagate:
                 + 1j * rng.normal(size=(4, cutoff + 1)))
         state = CompositeState(cutoff, amps / np.linalg.norm(amps))
         prop = Propagator(spec, cutoff)
-        for t in (0.0, 0.3, 2.7, 11.0):
+        times = np.array([0.0, 0.3, 2.7, 11.0])
+        stacked = prop.evolve(state, times).amplitudes
+        for t, evolved in zip(times, stacked):
             expected = state.amplitudes.reshape(-1).copy()
             for members, eigvals, eigvecs in blocks:
                 phases = np.exp(-1j * eigvals * t)
@@ -213,6 +215,7 @@ class TestPropagate:
                     phases * (eigvecs.conj().T @ expected[members]))
             assert np.array_equal(prop.evolve(state, t).amplitudes.reshape(-1),
                                   expected)
+            assert np.array_equal(evolved.reshape(-1), expected)
 
     def test_rejects_negative_time(self):
         field = coherent_weights(0.0, 2)

@@ -187,6 +187,46 @@ def test_exact_layers(m, nbar, rng):
                            [decompose(reduced_atomic_state(s)) for s in singles])
 
 
+class TestEvolveIntoBuffer:
+    @pytest.fixture
+    def case(self, rng):
+        field = coherent_weights(400.0, choose_cutoff(400.0, 1))
+        initial = initial_composite_state(random_atoms(rng), field)
+        return (Propagator(HamiltonianSpec(1.0, q=0.8), field.cutoff), initial,
+                np.linspace(0.0, 20.0, 6))
+
+    def test_matches_evolve_without_buffer(self, case):
+        prop, initial, times = case
+        buffer = np.full((len(times) + 2, 4, prop.cutoff + 1), np.nan,
+                         dtype=complex)
+        evolved = prop.evolve(initial, times, out=buffer[:len(times)])
+        assert evolved.amplitudes.base is buffer
+        assert np.array_equal(evolved.amplitudes,
+                              prop.evolve(initial, times).amplitudes)
+        assert np.isnan(buffer[len(times):]).all()
+
+    @pytest.mark.parametrize("shape,dtype", [
+        ((5, 4, 628), complex), ((6, 4, 627), complex), ((6, 4, 628), float),
+        ((6, 4, 628), np.complex64)], ids=["times", "cutoff", "float", "c64"])
+    def test_wrong_buffer_raises_before_writing(self, case, shape, dtype):
+        prop, initial, times = case
+        buffer = np.zeros(shape, dtype=dtype)
+        with pytest.raises(ValueError, match="out must be"):
+            prop.evolve(initial, times, out=buffer)
+        assert not buffer.any()
+
+    def test_strided_or_aliased_buffer_raises(self, case):
+        prop, initial, times = case
+        strided = np.zeros((12, 4, prop.cutoff + 1), dtype=complex)[::2]
+        with pytest.raises(ValueError, match="out must be"):
+            prop.evolve(initial, times, out=strided)
+        assert not strided.any()
+        amplitudes = initial.amplitudes.copy()
+        with pytest.raises(ValueError, match="out must be"):
+            prop.evolve(initial, 1.0, out=initial.amplitudes)
+        assert np.array_equal(initial.amplitudes, amplitudes)
+
+
 def test_exact_rejects_a_negative_time_in_a_stack():
     field = coherent_weights(10.0, choose_cutoff(10.0, 1))
     initial = initial_composite_state(AtomicInitialState(1, 0, 0, 0), field)
