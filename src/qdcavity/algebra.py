@@ -29,10 +29,9 @@ __all__ = [
 ]
 
 # Complex cells per chunk of a time sweep: a kernel chunk of (time, Fock
-# level) cells, or a block of 4x4 matrices (16 cells per time).  Kernel
-# arrays then stay below numpy's 256 KiB threshold for reusing temporaries
-# in place (its operand swap changes the last bit of complex products) and
-# add < 0.5 MiB to peak RSS; larger chunks were measured to add more.
+# level) cells, or a block of 4x4 matrices (16 cells per time).  A chunk's
+# table and the closed kernel's workspace then add < 0.5 MiB to peak RSS;
+# larger chunks were measured to add more.
 CHUNK_CELLS = 2**12
 
 

@@ -13,12 +13,14 @@ ladder elements of algebra.ladder_elements, which vanish below m photons,
 so couplings to missing states are zero there.  That keeps the same
 formulas valid and makes the table exhaust the whole truncated space
 (total weight 1 for any initial state).  A 1-D array of times in place
-of one time puts a leading time axis on every result; amplitude_table
-writes the stacked table into a caller's buffer when given one, which is
-how sweep.sweep reuses one buffer for every chunk of a sweep.
+of one time puts a leading time axis on every result; sweep.sweep runs
+every chunk through one buffer and one workspace, reduces it into the
+block's rows, and assembles Bloch states once per block.
 """
 
+import collections
 import functools
+import math
 
 import numpy as np
 
@@ -28,10 +30,16 @@ from .states import TwoQubitBlochState
 
 __all__ = [
     "AmplitudeTable",
+    "Reduction",
     "amplitude_table",
     "bloch_from_table",
     "evolved_bloch",
+    "workspace",
 ]
+
+
+# What bloch_from_table reads, as AmplitudeTable.reduce_into writes it.
+Reduction = collections.namedtuple("Reduction", "populations correlations")
 
 
 class AmplitudeTable:
@@ -42,37 +50,44 @@ class AmplitudeTable:
         self.m = m
         self.c = c
 
-    def correlation(self, i: int, j: int, shift: int) -> complex:
-        """sum_n c^(i)_n conj(c^(j)_{n-shift}) with shift >= 0."""
-        ci = self.c[..., i - 1, shift:]
-        cj = self.c[..., j - 1, :ci.shape[-1]]
-        # Not `*`: from 256 KiB on, it may write into the conj temporary,
-        # which swaps the complex product's operands and changes a last bit.
-        return np.sum(np.multiply(ci, np.conj(cj)), axis=-1)
+    def reduce_into(self, populations: np.ndarray, correlations: np.ndarray,
+                    work: np.ndarray) -> None:
+        """Write sum_n |c^(i)_n|^2 per row into populations (4, [T]), and
+        sum_n c^(i)_n conj(c^(j)_{n-shift}) for (ee_ge, eg_gg, ee_eg, ge_gg,
+        ee_gg, eg_ge) into correlations (6, [T]).  These pair amplitudes on
+        one photon number: flipping one atom shifts the manifold index by m,
+        flipping both by 2m (eg/ge stays inside one manifold)."""
+        c, m = self.c, self.m
+        real, imag = _scratch(work, c.shape[:-2] + c.shape[-1:], 2, float)
+        for i in range(4):
+            np.add(np.square(c[..., i, :].real, out=real),
+                   np.square(c[..., i, :].imag, out=imag), out=real)
+            np.add.reduce(real, axis=-1, out=populations[i, ...])
+        pairs = ((0, 2, m), (1, 3, m), (0, 1, m), (2, 3, m), (0, 3, 2 * m),
+                 (1, 2, 0))
+        for k, (i, j, shift) in enumerate(pairs):
+            n = c.shape[-1] - shift
+            conj, product = _scratch(work, c.shape[:-2] + (n,), 2)
+            # Not in place: an output aliasing an input moves numpy's
+            # complex product to another loop, which changes a last bit.
+            np.multiply(c[..., i, shift:], np.conj(c[..., j, :n], out=conj),
+                        out=product)
+            np.add.reduce(product, axis=-1, out=correlations[k, ...])
 
     @functools.cached_property
-    def populations(self) -> tuple[float, float, float, float]:
-        """(n1, n2, n3, n4): sum_n |c^(i)_n|^2 for each amplitude row."""
-        rows = np.sum(self.c.real**2 + self.c.imag**2, axis=-1)
-        return tuple(np.moveaxis(rows, -1, 0))
+    def _reduction(self) -> Reduction:
+        shape = self.c.shape[:-2]
+        reduction = Reduction(np.empty((4, *shape)), np.empty((6, *shape), complex))
+        self.reduce_into(*reduction, workspace(math.prod(shape), self.c.shape[-1]))
+        return reduction
 
-    @functools.cached_property
-    def correlations(self) -> tuple[complex, ...]:
-        """(ee_ge, eg_gg, ee_eg, ge_gg, ee_gg, eg_ge), the six shifted
-        correlations read by the Bloch reduction and the receiver vector.
-
-        Products pair amplitudes living on the same photon number: flipping
-        one atom shifts the manifold index by m, flipping both by 2m (the
-        eg/ge coherence stays inside one manifold).
-        """
-        m = self.m
-        return (self.correlation(1, 3, m), self.correlation(2, 4, m),
-                self.correlation(1, 2, m), self.correlation(3, 4, m),
-                self.correlation(1, 4, 2 * m), self.correlation(2, 3, 0))
+    populations = property(lambda self: self._reduction.populations)
+    correlations = property(lambda self: self._reduction.correlations)
 
     @property
     def total_weight(self) -> float:
-        return np.sum(self.c.real**2 + self.c.imag**2, axis=(-2, -1))
+        c = np.ascontiguousarray(self.c)
+        return np.sum(c.real**2 + c.imag**2, axis=(-2, -1))
 
 
 @functools.lru_cache(maxsize=128)
@@ -91,10 +106,35 @@ def _cached_couplings(cutoff: int, m: int, lam: float, q_value: float):
     return nu1, nu2, mu
 
 
-def _amplitude_arrays(t, atoms: AtomicInitialState, field: FieldSpec,
-                      spec: HamiltonianSpec, out=None) -> np.ndarray:
+def workspace(rows: int, width: int) -> np.ndarray:
+    """Caller-owned scratch for amplitude_table and reduce_into on up to
+    rows times: two complex (rows, width) slots."""
+    return np.empty((2 * rows, width), dtype=complex)
+
+
+def _scratch(work: np.ndarray, shape: tuple, count: int, dtype=complex):
+    """count contiguous arrays of shape and dtype, from a workspace's front."""
+    return work.reshape(-1).view(dtype)[:count * math.prod(shape)].reshape(
+        (count,) + shape)
+
+
+def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
+                    spec: HamiltonianSpec, *, out=None,
+                    work=None) -> AmplitudeTable:
+    """All manifold amplitudes at time t, or at each time of a 1-D array.
+    The table is a view, with each of its four rows contiguous, of the
+    front of out (C-contiguous complex memory of at least its size) or of
+    fresh memory; work is a workspace, or a fresh one."""
+    if field.cutoff < 2 * spec.m:
+        raise ConfigurationError(
+            f"cutoff {field.cutoff} below one manifold span 2m = {2 * spec.m}")
     a1, a2, a3, a4 = atoms.amplitudes
     m = spec.m
+    shape = np.shape(t) + (field.cutoff + 1,)  # one row
+    size = 4 * math.prod(shape)
+    rows = (np.empty(size, complex) if out is None else
+            np.reshape(out, -1, copy=False)[:size]).reshape((4,) + shape)
+    work = workspace(math.prod(shape[:-1]), shape[-1]) if work is None else work
     t = np.asarray(t, dtype=float)[..., None]  # ([T,] 1) against n
 
     # Coherent weights W_{n+2m}, W_{n+m}, W_n for n = -2m..cutoff-2m; a
@@ -104,42 +144,42 @@ def _amplitude_arrays(t, atoms: AtomicInitialState, field: FieldSpec,
     w_n = np.concatenate([np.zeros(2 * m), w_n2m[:-2 * m]])
 
     nu1, nu2, mu = _cached_couplings(field.cutoff, m, spec.lam, spec.q)
+    # Every intermediate is written in place, each ufunc taking its operands
+    # in the order of the formula; no sin, cos or complex product writes
+    # over its own input, which may select another numpy loop.  The real
+    # intermediates live in rows of the table not yet written.
+    product, mixing = _scratch(work, shape, 2)
+    (sin_sq, cos_sq), (two_mu_t, mu_t), (half_rabi, swap) = (
+        rows[k].view(float).reshape((2,) + shape) for k in (0, 1, 3))
 
     # Frozen manifolds have mu = 0; there sin(2 mu t)/(2 mu) -> t, and swap
     # is 0, not t^2 (which overflows): it only multiplies vanishing couplings.
     # Where mu > 0, mu_safe is mu, so swap and sin_sq share one sin(mu t).
-    mu_safe = np.where(mu > 0.0, mu, 1.0)
-    half_rabi = np.where(mu > 0.0, np.sin(2.0 * mu_safe * t) / (2.0 * mu_safe), t)
-    sin_mu_t = np.sin(mu * t)
-    swap = np.where(mu > 0.0, (sin_mu_t / mu_safe) ** 2, 0.0)
-    cos_sq = np.cos(mu * t) ** 2
-    sin_sq = sin_mu_t ** 2
+    frozen = mu == 0.0
+    mu_safe = np.where(frozen, 1.0, mu)
+    np.sin(np.multiply(2.0 * mu_safe, t, out=two_mu_t), out=half_rabi)
+    np.divide(half_rabi, 2.0 * mu_safe, out=half_rabi)
+    half_rabi[..., frozen] = t
+    np.multiply(mu, t, out=mu_t)
+    np.square(np.cos(mu_t, out=cos_sq), out=cos_sq)
+    np.sin(mu_t, out=sin_sq)
+    np.square(np.divide(sin_sq, mu_safe, out=swap), out=swap)
+    swap[..., frozen] = 0.0
+    np.square(sin_sq, out=sin_sq)
 
+    # Time-invariant factors are formed once per call, as rows over n.
+    # Rows 1 and 2 come first, while rows 0 and 3 still hold the reals.
     drive = a1 * nu1 * w_n + a4 * nu2 * w_n2m
-    if out is None:
-        out = np.empty(t.shape[:-1] + (4, w_n2m.size), dtype=complex)
-    # Each row is written in place.  Four row arrays held as well would
-    # take a chunk's temporaries past glibc's heap trim threshold, and
-    # every chunk would then take fresh pages.
-    np.subtract(a1 * w_n - nu1 * drive * swap,
-                1j * nu1 * (a2 + a3) * w_nm * half_rabi, out=out[..., 0, :])
-    np.subtract(w_nm * (a2 * cos_sq - a3 * sin_sq), 1j * drive * half_rabi,
-                out=out[..., 1, :])
-    np.subtract(w_nm * (a3 * cos_sq - a2 * sin_sq), 1j * drive * half_rabi,
-                out=out[..., 2, :])
-    np.subtract(a4 * w_n2m - nu2 * drive * swap,
-                1j * nu2 * (a2 + a3) * w_nm * half_rabi, out=out[..., 3, :])
-    return out
-
-
-def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
-                    spec: HamiltonianSpec, *, out=None) -> AmplitudeTable:
-    """All manifold amplitudes at time t, or at each time of a 1-D array,
-    written into out (complex, of the table's shape) when it is given."""
-    if field.cutoff < 2 * spec.m:
-        raise ConfigurationError(
-            f"cutoff {field.cutoff} below one manifold span 2m = {2 * spec.m}")
-    return AmplitudeTable(spec.m, _amplitude_arrays(t, atoms, field, spec, out))
+    np.multiply(1j * drive, half_rabi, out=mixing)
+    for k, a, b, spare in ((1, a2, a3, rows[2]), (2, a3, a2, product)):
+        np.subtract(np.multiply(a, cos_sq, out=rows[k]),
+                    np.multiply(b, sin_sq, out=spare), out=rows[k])
+        np.subtract(np.multiply(w_nm, rows[k], out=spare), mixing, out=rows[k])
+    for k, a, nu, w in ((0, a1, nu1, w_n), (3, a4, nu2, w_n2m)):
+        np.subtract(a * w, np.multiply(nu * drive, swap, out=product), out=product)
+        np.multiply(1j * nu * (a2 + a3) * w_nm, half_rabi, out=mixing)
+        np.subtract(product, mixing, out=rows[k])
+    return AmplitudeTable(m, rows.swapaxes(0, -2))
 
 
 def evolved_bloch(t, atoms: AtomicInitialState, field: FieldSpec,
@@ -150,8 +190,9 @@ def evolved_bloch(t, atoms: AtomicInitialState, field: FieldSpec,
     return bloch_from_table(amplitude_table(t, atoms, field, spec))
 
 
-def bloch_from_table(table: AmplitudeTable) -> TwoQubitBlochState:
-    """Reduce an amplitude table to the two-atom Bloch representation."""
+def bloch_from_table(table: AmplitudeTable | Reduction) -> TwoQubitBlochState:
+    """Reduce an amplitude table, or its Reduction, to the two-atom Bloch
+    representation."""
     n1, n2, n3, n4 = table.populations
     ee_ge, eg_gg, ee_eg, ge_gg, ee_gg, eg_ge = table.correlations
 

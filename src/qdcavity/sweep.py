@@ -2,15 +2,16 @@
 checked SweepConfig, and sweep(), which walks its time grid per q value
 in blocks of times (algebra.time_chunks) through one engine or both.
 SweepConfig holds only values a run reads; its checks reject every
-out-of-range or non-finite value, and every t_max whose largest phase
-overflows, before a caller writes anything.
+out-of-range or non-finite value, every lambda too small for the closed
+kernel and every t_max whose largest phase overflows, before a caller
+writes anything.
 """
 
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import algebra, closedform, exact, states, teleport
+from . import algebra, closedform, exact, teleport
 
 __all__ = ["SweepConfig", "sweep"]
 
@@ -51,12 +52,19 @@ class SweepConfig:
             "unknown-qubit", (self.alpha, self.beta))))
 
     def _check_phases(self):
-        """Reject a t_max whose largest phase is not finite: 2 mu t in the
-        closed kernel, 2 t on its frozen manifolds (mu = 0 is replaced by
-        1 there), and eigenvalue times t in the exact engine, whose
-        eigenvalues are 0 and +-2 mu."""
-        largest = max(float(np.max(closedform._cached_couplings(
-            self._field.cutoff, self.m, self.lam, q)[2])) for q in self.q_values)
+        """Reject a lambda at which a manifold with a nonzero ladder element
+        has mu = 0 (taken as frozen) or a 1/mu^2 (its swap term's bound)
+        that is not finite; then a t_max whose largest phase, 2 mu t or 2 t
+        in the closed kernel and +-2 mu t in the exact engine, is not."""
+        largest = 0.0
+        for q in self.q_values:
+            mu, unit = (closedform._cached_couplings(
+                self._field.cutoff, self.m, lam, q)[2] for lam in (self.lam, 1.0))
+            with np.errstate(divide="ignore", over="ignore"):
+                if not np.isfinite(1.0 / np.min(mu[unit > 0.0]) ** 2):
+                    raise ValueError(f"lambda {self.lam!r} is too small: "
+                                     f"1/mu^2 overflows at q {q!r}")
+            largest = max(largest, float(np.max(mu)))
         phase = 2.0 * max(largest, 1.0) * (self.t_max / self.lam)
         if not np.isfinite(phase):
             raise ValueError(
@@ -107,10 +115,10 @@ def sweep(config: SweepConfig):
     CHUNK_CELLS // 16 times: the closed-form Bloch stack (None under engine
     "exact") and the exact engine's reduced atomic states (None under
     engine "closed").  Inside a block both engines run in kernel chunks of
-    CHUNK_CELLS // (cutoff + 1) times, and only their 4x4 results are
-    joined.  Both engines write every chunk's amplitudes (the closed
-    form's table, the exact engine's evolved state) into one buffer
-    allocated per sweep."""
+    CHUNK_CELLS // (cutoff + 1) times, writing their amplitudes into one
+    buffer per sweep.  The closed form works in one workspace per sweep
+    and reduces each chunk into the block's rows, read once per block;
+    the exact engine's reduced 4x4 states are joined."""
     field = config.field()
     atoms = config.atomic_state()
     width = field.cutoff + 1
@@ -121,24 +129,27 @@ def sweep(config: SweepConfig):
               algebra.time_chunks(config.time_grid, _MATRIX_CELLS)]
     # The first chunk of the first block is the longest of the sweep.
     buffer = np.empty((len(blocks[0][1][0]), 4, width), dtype=complex)
+    work = closedform.workspace(len(buffer), width) if closed else None
     for q in config.q_values:
         spec = config.hamiltonian(q)
         propagator = exact.Propagator(spec, field.cutoff) if propagate else None
         for block, chunks in blocks:
-            bloch = _join_bloch([closedform.bloch_from_table(
-                closedform.amplitude_table(times, atoms, field, spec,
-                                           out=buffer[:len(times)]))
-                for times in chunks]) if closed else None
+            bloch = None
+            if closed:
+                sums = closedform.Reduction(
+                    np.empty((4, len(block))), np.empty((6, len(block)), complex))
+                start = 0
+                for times in chunks:
+                    closedform.amplitude_table(
+                        times, atoms, field, spec, out=buffer[:len(times)],
+                        work=work).reduce_into(*(s[:, start:start + len(times)]
+                                                 for s in sums), work)
+                    start += len(times)
+                bloch = closedform.bloch_from_table(sums)
             reduced = _join_states([exact.reduced_atomic_state(
                 propagator.evolve(initial, times, out=buffer[:len(times)]))
                 for times in chunks]) if propagate else None
             yield q, block, bloch, reduced
-
-
-def _join_bloch(parts: list) -> states.TwoQubitBlochState:
-    return states.TwoQubitBlochState(
-        *(np.concatenate([getattr(part, name) for part in parts])
-          for name in ("s", "t", "cross")))
 
 
 def _join_states(parts: list) -> exact.DensityMatrix:

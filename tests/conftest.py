@@ -104,3 +104,57 @@ def reference_cutoff(mean_photons: float, m: int,
     # suffix[k] = sum_{n >= k} W_n; want smallest K with suffix[K+1] < eps.
     tails = [*suffix[1:].tolist(), 0.0]
     return next(k for k, tail in enumerate(tails) if tail < tail_eps) + 2 * m
+
+
+def reference_amplitude_arrays(t, atoms, field, spec) -> np.ndarray:
+    """The closed-form kernel as it was before it wrote through a
+    workspace: every intermediate a fresh array, the frozen manifolds
+    (mu = 0) chosen by np.where.  The bit-identity oracle of
+    closedform.amplitude_table."""
+    a1, a2, a3, a4 = atoms.amplitudes
+    m = spec.m
+    t = np.asarray(t, dtype=float)[..., None]
+    w_n2m = field.weights
+    w_nm = np.concatenate([np.zeros(m), w_n2m[:-m]])
+    w_n = np.concatenate([np.zeros(2 * m), w_n2m[:-2 * m]])
+    ladder = ladder_elements(field.cutoff, m, spec.q)
+    nu2 = spec.lam * ladder
+    nu1 = spec.lam * np.concatenate([np.zeros(m), ladder[:-m]])
+    mu = np.sqrt((nu1 * nu1 + nu2 * nu2) / 2.0)
+
+    mu_safe = np.where(mu > 0.0, mu, 1.0)
+    half_rabi = np.where(mu > 0.0, np.sin(2.0 * mu_safe * t) / (2.0 * mu_safe), t)
+    sin_mu_t = np.sin(mu * t)
+    swap = np.where(mu > 0.0, (sin_mu_t / mu_safe) ** 2, 0.0)
+    cos_sq = np.cos(mu * t) ** 2
+    sin_sq = sin_mu_t ** 2
+
+    drive = a1 * nu1 * w_n + a4 * nu2 * w_n2m
+    out = np.empty(t.shape[:-1] + (4, w_n2m.size), dtype=complex)
+    np.subtract(a1 * w_n - nu1 * drive * swap,
+                1j * nu1 * (a2 + a3) * w_nm * half_rabi, out=out[..., 0, :])
+    np.subtract(w_nm * (a2 * cos_sq - a3 * sin_sq), 1j * drive * half_rabi,
+                out=out[..., 1, :])
+    np.subtract(w_nm * (a3 * cos_sq - a2 * sin_sq), 1j * drive * half_rabi,
+                out=out[..., 2, :])
+    np.subtract(a4 * w_n2m - nu2 * drive * swap,
+                1j * nu2 * (a2 + a3) * w_nm * half_rabi, out=out[..., 3, :])
+    return out
+
+
+def reference_reductions(c: np.ndarray, m: int) -> tuple:
+    """(populations, correlations) of an amplitude table c as they were
+    computed from fresh arrays: sum_n |c^(i)_n|^2 per row, then the six
+    shifted correlations (ee_ge, eg_gg, ee_eg, ge_gg, ee_gg, eg_ge)."""
+    rows = np.sum(c.real**2 + c.imag**2, axis=-1)
+    populations = tuple(np.moveaxis(rows, -1, 0))
+
+    def correlation(i, j, shift):
+        ci = c[..., i - 1, shift:]
+        cj = c[..., j - 1, :ci.shape[-1]]
+        return np.sum(np.multiply(ci, np.conj(cj)), axis=-1)
+
+    correlations = (correlation(1, 3, m), correlation(2, 4, m),
+                    correlation(1, 2, m), correlation(3, 4, m),
+                    correlation(1, 4, 2 * m), correlation(2, 3, 0))
+    return populations, correlations

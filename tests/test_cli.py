@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,9 +420,9 @@ class TestTimeChunks:
         buffers = []
         table = closedform.amplitude_table
 
-        def recording(*args, out):
+        def recording(*args, out, work):
             buffers.append(out)
-            return table(*args, out=out)
+            return table(*args, out=out, work=work)
 
         monkeypatch.setattr(closedform, "amplitude_table", recording)
         config = SweepConfig(q_values=(0.5, 0.9), nbar=400.0, steps=301)
@@ -432,6 +433,58 @@ class TestTimeChunks:
             ([6] * 42 + [4] + [6] * 7 + [3]) * 2
         assert all(out.base is buffers[0].base for out in buffers)
         assert buffers[0].base.shape == (6, 4, 628)
+
+    def test_chunks_share_one_workspace_per_sweep(self, monkeypatch):
+        # Cutoff 627: every kernel chunk and its reduction work in one
+        # (2 * 6, 628) workspace, a fresh one per sweep, never the table's.
+        works, tables = [], []
+        table, reduce_into = (closedform.amplitude_table,
+                              closedform.AmplitudeTable.reduce_into)
+
+        def recording(*args, out, work):
+            works.append(work)
+            tables.append(out)
+            return table(*args, out=out, work=work)
+
+        def reducing(self, populations, correlations, work):
+            works.append(work)
+            return reduce_into(self, populations, correlations, work)
+
+        monkeypatch.setattr(closedform, "amplitude_table", recording)
+        monkeypatch.setattr(closedform.AmplitudeTable, "reduce_into", reducing)
+        config = SweepConfig(q_values=(0.5, 0.9), nbar=400.0, steps=301)
+        for _ in range(2):
+            assert [len(times) for _, times, _, _ in sweep(config)] == \
+                [256, 45] * 2
+        per_sweep = 2 * 2 * (42 + 1 + 7 + 1)
+        assert len(works) == 2 * per_sweep
+        first, second = works[0], works[per_sweep]
+        assert all(work is first for work in works[:per_sweep])
+        assert all(work is second for work in works[per_sweep:])
+        assert second is not first and first.shape == (2 * 6, 628)
+        assert not any(np.shares_memory(first, out) for out in tables)
+
+    def test_sweep_takes_no_chunk_table_after_first_block(self):
+        # Cutoff 627, 6-time chunks.  Building c.real**2 + c.imag**2 per
+        # chunk (three 6 x 4 x 628 real arrays) rose by about 480 KB past
+        # the first block.  numpy's buffered iterator still takes two
+        # complex chunk-sized buffers (about 140 KB in all) for a ufunc that
+        # broadcasts and casts, so the bound is one chunk's table, not one
+        # chunk row.
+        config = SweepConfig(q_values=(0.5, 0.9), nbar=400.0, steps=301)
+        table_bytes = 6 * 4 * 628 * 16
+        blocks = sweep(config)
+        tracemalloc.start()
+        try:
+            first = next(blocks)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            rest = [len(times) for _, times, _, _ in blocks]
+            rise = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert len(first[1]) == 256 and rest == [45, 256, 45]
+        assert rise < table_bytes
 
     @pytest.mark.parametrize("engine", ["exact", "both"])
     def test_blocks_share_one_state_buffer(self, engine, monkeypatch):
@@ -484,10 +537,13 @@ class TestBadConfigWritesNothing:
         ["simulate", "--t-max", "1e308", "--steps", "3"],
         ["teleport", "--t-max", "1e308", "--steps", "3"],
         ["simulate", "--lambda", "1e-300", "--t-max", "1e10", "--steps", "3"],
+        ["simulate", "--lambda", "1e-155", "--steps", "3"],
+        ["simulate", "--lambda", "1e-200", "--steps", "3"],
     ], ids=["q-out-of-range", "negative-nbar", "zero-m", "unnormalised-input",
             "nan-t-max", "inf-lambda", "nan-nbar", "nan-atoms", "nan-alpha",
             "phase-overflow-simulate", "phase-overflow-teleport",
-            "phase-overflow-tiny-lambda"])
+            "phase-overflow-tiny-lambda", "tiny-lambda-swap-overflow",
+            "tiny-lambda-mu-underflow"])
     def test_no_output_and_no_file(self, argv, tmp_path, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == "" and err.startswith("error:")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdcavity import (
     AtomicInitialState,
@@ -18,7 +18,10 @@ from qdcavity import (
     initial_composite_state,
     reduced_atomic_state,
 )
-from conftest import normalized_atoms, random_ket
+from qdcavity.closedform import Reduction, bloch_from_table
+from qdcavity.sweep import SweepConfig, sweep
+from conftest import (normalized_atoms, random_ket, reference_amplitude_arrays,
+                      reference_reductions)
 from test_properties import amplitudes
 
 
@@ -168,3 +171,70 @@ class TestEvolvedBloch:
             state = evolved_bloch(t, excited_pair(), field, spec)
             assert np.linalg.norm(state.s) <= 1.0 + 1e-9
             assert np.linalg.norm(state.t) <= 1.0 + 1e-9
+
+
+def same_bits(got, expected) -> bool:
+    """Equal shape, dtype and bytes: stricter than np.array_equal, which
+    takes -0.0 for 0.0."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.shape == expected.shape and got.dtype == expected.dtype \
+        and got.tobytes() == expected.tobytes()
+
+
+def same_bloch(got, expected) -> bool:
+    return all(same_bits(getattr(got, name), getattr(expected, name))
+               for name in ("s", "t", "cross"))
+
+
+def reference_bloch(c, m):
+    """bloch_from_table on the reference populations and correlations."""
+    populations, correlations = reference_reductions(c, m)
+    return bloch_from_table(Reduction(np.array(populations),
+                                      np.array(correlations)))
+
+
+deformations = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+times = st.one_of(
+    st.just(0.0), st.floats(0.0, 20.0),
+    st.lists(st.floats(0.0, 20.0), min_size=1, max_size=300).map(np.array))
+
+
+class TestBitIdentity:
+    """The workspace kernel and the one reduction against the fresh-array
+    reference copied into conftest, bit for bit."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(parts=amplitudes, q=deformations, m=st.integers(1, 3),
+           nbar=st.floats(0.0, 50.0), t=times)
+    @example(parts=[1.0] + [0.0] * 7, q=0.0, m=3, nbar=10.0, t=0.0)
+    def test_table_and_reductions(self, parts, q, m, nbar, t):
+        atoms = normalized_atoms(
+            *(complex(re, im) for re, im in zip(parts[::2], parts[1::2])))
+        field, spec = standard_config(q=q, m=m, nbar=nbar)
+        table = amplitude_table(t, atoms, field, spec)
+        reference = reference_amplitude_arrays(t, atoms, field, spec)
+        assert same_bits(table.c, reference)
+        populations, correlations = reference_reductions(reference, m)
+        assert all(same_bits(got, expected) for got, expected in
+                   zip(table.populations, populations, strict=True))
+        assert all(same_bits(got, expected) for got, expected in
+                   zip(table.correlations, correlations, strict=True))
+        assert same_bloch(bloch_from_table(table), reference_bloch(reference, m))
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(parts=amplitudes, q=deformations, m=st.integers(1, 3),
+           nbar=st.floats(0.0, 50.0), steps=st.integers(2, 700))
+    @example(parts=[0.6, 0.2, 0.1, -0.3, -0.3, 0.5, 0.0, 0.4], q=0.9, m=1,
+             nbar=400.0, steps=301)
+    def test_sweep_blocks(self, parts, q, m, nbar, steps):
+        # Blocks of 256 times end inside a kernel chunk of CHUNK_CELLS //
+        # (cutoff + 1) times, and the last block is shorter.
+        config = SweepConfig(q_values=(q,), m=m, nbar=nbar, steps=steps,
+                             atoms=tuple(normalized_atoms(*(
+                                 complex(re, im) for re, im in
+                                 zip(parts[::2], parts[1::2]))).amplitudes))
+        atoms, field = config.atomic_state(), config.field()
+        for _, block, bloch, _ in sweep(config):
+            reference = reference_amplitude_arrays(
+                block, atoms, field, config.hamiltonian(q))
+            assert same_bloch(bloch, reference_bloch(reference, m))

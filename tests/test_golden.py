@@ -73,3 +73,28 @@ def test_cutoff_627_bytes_match_golden_hash(command, engine, tmp_path):
     assert "# cutoff=627" in path.read_text()
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_627[(command, engine)]
+
+
+# Inputs the closed kernel's frozen-manifold and reduction paths meet
+# that no preset covers: m = 3 leaves 6 frozen columns, q = 0 saturates
+# the ladder and q = 1 is the undeformed limit.
+GOLDEN_EDGE = {
+    ("simulate", "closed"): "be87a4542c37e056f315776f6a31f1d3bd7e95c23d0eeddd775127434ab94a91",
+    ("simulate", "both"): "84c09e95900507d5b6e260939c1a88356518072f42f1d85b103800e8a0ea776f",
+    ("teleport", "closed"): "61c27c620a4272299aa4288715500308676287a7b317deb05ed4cf828b6cfd4b",
+}
+GOLDEN_EDGE_ARGS = {
+    "simulate": ["--m", "3", "--q", "0", "--q", "1", "--nbar", "10",
+                 "--steps", "301"],
+    "teleport": ["--m", "3", "--q", "0", "--nbar", "10"],
+}
+
+
+@pytest.mark.parametrize("command,engine", sorted(GOLDEN_EDGE),
+                         ids=[f"{c}-{e}" for c, e in sorted(GOLDEN_EDGE)])
+def test_edge_inputs_match_golden_hash(command, engine, tmp_path):
+    path = tmp_path / f"{command}-{engine}.csv"
+    assert cli.main([command, "--engine", engine, *GOLDEN_EDGE_ARGS[command],
+                     "--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_EDGE[(command, engine)]

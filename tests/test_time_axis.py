@@ -100,6 +100,19 @@ class TestClosedForm:
                                                        spec).c)
         assert np.isnan(buffer[len(times):]).all()
 
+    def test_amplitude_table_rows_and_strided_out(self, closed_sweep):
+        # The table is a view of out's front with each amplitude row
+        # contiguous, so out must be C-contiguous: a strided one raises
+        # before anything is written.
+        times, atoms, field, spec = closed_sweep
+        buffer = np.zeros((2 * len(times), 4, field.cutoff + 1), dtype=complex)
+        table = amplitude_table(times, atoms, field, spec, out=buffer)
+        assert all(table.c[:, k].flags.c_contiguous for k in range(4))
+        buffer[:] = 0.0
+        with pytest.raises(ValueError):
+            amplitude_table(times, atoms, field, spec, out=buffer[::2])
+        assert not buffer.any()
+
     def test_evolved_bloch(self, closed_sweep):
         times, atoms, field, spec = closed_sweep
         assert_bloch_per_point(
