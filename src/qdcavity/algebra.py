@@ -62,8 +62,8 @@ def q_number(n: int, q) -> float:
 
 def ladder_elements(cutoff: int, m: int, q) -> np.ndarray:
     """<p-m| a_q^m |p> = sqrt([p-m+1]_q ... [p]_q) for p = 0..cutoff, zero
-    for p < m.  Every coupling of both engines is one of these times a
-    bare coupling constant."""
+    for p < m.  Every coupling of both engines is one of these, in units
+    of the bare coupling constant lambda."""
     if m < 1:
         raise ValueError(f"ladder_elements requires m >= 1, got {m}")
     if cutoff < 0:

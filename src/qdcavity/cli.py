@@ -4,10 +4,11 @@ cross-validation report, all emitted as deterministic CSV/plain text.
 preset into one sweep.SweepConfig and format the rows of sweep.sweep;
 `validate` prints the report of validate.run_all_checks.
 
-Times are always reported as lambda * t (dimensionless).  Values are
-printed with 12 significant digits, comma-delimited, with a provenance
-header (config echo, cutoff, engine, version) on '#' comment lines, so a
-repeated run is byte-identical.
+Times are always reported as lambda * t (dimensionless): the engines
+work in units of 1/lambda, so lambda moves no data row and only the
+header echoes it.  Values are printed with 12 significant digits,
+comma-delimited, with a provenance header (config echo, cutoff, engine,
+version) on '#' comment lines, so a repeated run is byte-identical.
 """
 
 import argparse
@@ -174,7 +175,7 @@ def cmd_simulate(config: SweepConfig, stream) -> int:
         rho = states.compose(bloch)
         warnings.extend(rho.warnings)
         values = [
-            config.lam * times, np.full(times.shape, q), bloch.s, bloch.t,
+            times, np.full(times.shape, q), bloch.s, bloch.t,
             np.sqrt(np.linalg.vecdot(bloch.s, bloch.s)),
             np.sqrt(np.linalg.vecdot(bloch.t, bloch.t)),
             bloch.cross.reshape(-1, 9), states.entanglement_degree(bloch),
@@ -227,7 +228,7 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
             branches.append(np.column_stack(values))
         # Rows run time-major: the four branches of one time, then the next.
         count = len(teleport.OUTCOME_LABELS)
-        leads = format_rows([np.repeat(config.lam * times, count),
+        leads = format_rows([np.repeat(times, count),
                              np.full(count * len(times), q)])
         cells = format_rows(
             [np.stack(branches, axis=1).reshape(count * len(times), -1)])
@@ -268,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, help="photon multiplicity")
         p.add_argument("--nbar", type=float, help="mean photon number")
         p.add_argument("--lambda", dest="lam", type=float,
-                       help="atom-field coupling (sets the time unit)")
+                       help="atom-field coupling: the time unit, echoed in "
+                       "the header; no data row depends on it")
         p.add_argument("--t-max", type=float, help="largest lambda*t")
         p.add_argument("--steps", type=int, help="grid points")
         p.add_argument("--atoms", help="a1,a2,a3,a4 (complex, re+imi)")

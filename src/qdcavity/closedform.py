@@ -8,14 +8,15 @@ two-atom state follows by summing shifted amplitude products over n.
 The manifold index runs from -2m: indices -2m..-m-1 hold the frozen
 ground states |gg, n+2m> with too few photons to climb, and -m..-1 hold
 the three-level tail {|eg,n+m>, |ge,n+m>, |gg,n+2m>} missing its
-doubly-excited head.  The couplings are lambda times the m-photon
-ladder elements of algebra.ladder_elements, which vanish below m photons,
-so couplings to missing states are zero there.  That keeps the same
-formulas valid and makes the table exhaust the whole truncated space
-(total weight 1 for any initial state).  A 1-D array of times in place
-of one time puts a leading time axis on every result; sweep.sweep runs
-every chunk through one buffer and one workspace, reduces it into the
-block's rows, and assembles Bloch states once per block.
+doubly-excited head.  The couplings are the m-photon ladder elements of
+algebra.ladder_elements, in units of lambda (times are lambda*t); they
+vanish below m photons, so couplings to missing states are zero there.
+That keeps the same formulas valid and makes the table exhaust the whole
+truncated space (total weight 1 for any initial state).  A 1-D array of
+times in place of one time puts a leading time axis on every result;
+sweep.sweep runs every chunk through one buffer and one workspace,
+reduces it into the block's rows, and assembles Bloch states once per
+block.
 """
 
 import collections
@@ -91,15 +92,14 @@ class AmplitudeTable:
 
 
 @functools.lru_cache(maxsize=128)
-def _cached_couplings(cutoff: int, m: int, lam: float, q_value: float):
-    """nu1, nu2, mu per manifold index n = p - 2m for p = 0..cutoff, read
-    off the ladder table L = ladder_elements(cutoff, m, q): nu2 = lam L[p]
-    couples |gg,p> upward and nu1 = lam L[p - m] couples |eg,p - m>, both
-    zero where the photon number falls below m.  The arrays are shared
-    read-only across sweep points."""
-    ladder = ladder_elements(cutoff, m, q_value)
-    nu2 = lam * ladder
-    nu1 = lam * np.concatenate([np.zeros(m), ladder[:-m]])
+def _cached_couplings(cutoff: int, m: int, q_value: float):
+    """nu1, nu2, mu per manifold index n = p - 2m for p = 0..cutoff, in
+    units of lambda, read off the ladder table L = ladder_elements(cutoff,
+    m, q): nu2 = L[p] couples |gg,p> upward and nu1 = L[p - m] couples
+    |eg,p - m>, both zero where the photon number falls below m.  The
+    arrays are shared read-only across sweep points."""
+    nu2 = ladder_elements(cutoff, m, q_value)
+    nu1 = np.concatenate([np.zeros(m), nu2[:-m]])
     mu = np.sqrt((nu1 * nu1 + nu2 * nu2) / 2.0)
     for arr in (nu1, nu2, mu):
         arr.setflags(write=False)
@@ -143,7 +143,7 @@ def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
     w_nm = np.concatenate([np.zeros(m), w_n2m[:-m]])
     w_n = np.concatenate([np.zeros(2 * m), w_n2m[:-2 * m]])
 
-    nu1, nu2, mu = _cached_couplings(field.cutoff, m, spec.lam, spec.q)
+    nu1, nu2, mu = _cached_couplings(field.cutoff, m, spec.q)
     # Every intermediate is written in place, each ufunc taking its operands
     # in the order of the formula; no sin, cos or complex product writes
     # over its own input, which may select another numpy loop.  The real

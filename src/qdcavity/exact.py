@@ -49,25 +49,23 @@ class PhysicalityError(ValueError):
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Coupling, photon multiplicity and deformation of the resonant
-    two-atom/cavity interaction.
+    """Photon multiplicity and deformation of the resonant two-atom/cavity
+    interaction, in units of its coupling lambda.
 
-    Both atoms couple to the mode with the same lam, which sets the time
-    unit: all sweep times are reported as lam * t.  At resonance the free
-    terms drop out in the interaction picture, so no frequency enters.
+    Both atoms couple to the mode with the same lambda, which sets the
+    time unit: the engines evolve under H / lambda to the time lambda*t,
+    the only time any sweep reports.  At resonance the free terms drop
+    out in the interaction picture, so no frequency enters.
     """
 
-    lam: float
     m: int = 1
     q: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "q", check_deformation(self.q))
-        if not 0 < self.lam < np.inf:
+        if not 1 <= self.m < np.inf:
             raise ConfigurationError(
-                "coupling constant lambda must be finite and positive")
-        if self.m < 1:
-            raise ConfigurationError("photon multiplicity m must be >= 1")
+                "photon multiplicity m must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -189,9 +187,10 @@ def _manifold_blocks(cutoff: int, m: int) -> list[np.ndarray]:
 
 
 def _block_stacks(spec: HamiltonianSpec, cutoff: int) -> list:
-    """(flat, blocks) per block size of the interaction-picture coupling
-        lam (sigma+ a_q^m + sigma- a_q^+m + tau+ a_q^m + tau- a_q^+m):
-    |k,p> and |l,r> couple by lam * ladder[max(p, r)] when one atom flips
+    """(flat, blocks) per block size of the interaction-picture coupling,
+    in units of lambda,
+        sigma+ a_q^m + sigma- a_q^+m + tau+ a_q^m + tau- a_q^+m:
+    |k,p> and |l,r> couple by ladder[max(p, r)] when one atom flips
     between levels k and l, and not at all otherwise."""
     ladder = ladder_elements(cutoff, spec.m, spec.q)
     low = _collective_lowering()
@@ -199,7 +198,7 @@ def _block_stacks(spec: HamiltonianSpec, cutoff: int) -> list:
     stacks = []
     for flat in _manifold_blocks(cutoff, spec.m):
         level, p = divmod(flat, cutoff + 1)
-        blocks = (spec.lam * ladder[np.maximum(p[:, :, None], p[:, None, :])]
+        blocks = (ladder[np.maximum(p[:, :, None], p[:, None, :])]
                   * adjacency[level[:, :, None], level[:, None, :]])
         stacks.append((flat, blocks.astype(complex)))
     return stacks
@@ -225,8 +224,9 @@ class Propagator:
                         for flat, blocks in _block_stacks(spec, cutoff)]
 
     def evolve(self, state: CompositeState, t, *, out=None) -> CompositeState:
-        """psi(t) = exp(-i H t) psi(0), one stack of blocks at a time, at
-        one time t or at each time of a 1-D array (a stack of states).
+        """psi(t) = exp(-i H t) psi(0), H and t in units of lambda and
+        1/lambda, one stack of blocks at a time, at one time t or at each
+        time of a 1-D array (a stack of states).
 
         The amplitudes are written into out when it is given: a
         caller-owned C-contiguous complex array of shape

@@ -2,9 +2,10 @@
 checked SweepConfig, and sweep(), which walks its time grid per q value
 in blocks of times (algebra.time_chunks) through one engine or both.
 SweepConfig holds only values a run reads; its checks reject every
-out-of-range or non-finite value, every lambda too small for the closed
-kernel and every t_max whose largest phase overflows, before a caller
-writes anything.
+out-of-range or non-finite value and every t_max whose largest phase
+overflows, before a caller writes anything.  The engines work in units
+of 1/lambda: they see the couplings over lambda and evolve to lambda*t,
+so lambda moves no data row and is only echoed in the CSV header.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -22,7 +23,7 @@ class SweepConfig:
     q_values: tuple[float, ...] = (1.0,)
     m: int = 1
     nbar: float = 10.0
-    lam: float = 1.0
+    lam: float = 1.0  # the time unit: checked and echoed, no engine reads it
     t_max: float = 10.0
     steps: int = 201
     atoms: tuple[complex, complex, complex, complex] = (1.0, 0.0, 0.0, 0.0)
@@ -39,11 +40,13 @@ class SweepConfig:
             raise ValueError("steps must be at least 2")
         if not 0 < self.t_max < np.inf:
             raise ValueError("t_max must be finite and positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lambda must be finite and positive")
         if not self.q_values:
             raise ValueError("q_values must hold at least one q")
         self.atoms = self._normalised("atomic", self.atoms)
         # A bad value must fail here, before any output or --out file
-        # exists; HamiltonianSpec checks lambda, m and each q.
+        # exists; HamiltonianSpec checks m and each q.
         for q in self.q_values:
             self.hamiltonian(q)
         self._field = algebra.coherent_field(self.nbar, self.m, self.tail_eps)
@@ -52,24 +55,15 @@ class SweepConfig:
             "unknown-qubit", (self.alpha, self.beta))))
 
     def _check_phases(self):
-        """Reject a lambda at which a manifold with a nonzero ladder element
-        has mu = 0 (taken as frozen) or a 1/mu^2 (its swap term's bound)
-        that is not finite; then a t_max whose largest phase, 2 mu t or 2 t
-        in the closed kernel and +-2 mu t in the exact engine, is not."""
-        largest = 0.0
-        for q in self.q_values:
-            mu, unit = (closedform._cached_couplings(
-                self._field.cutoff, self.m, lam, q)[2] for lam in (self.lam, 1.0))
-            with np.errstate(divide="ignore", over="ignore"):
-                if not np.isfinite(1.0 / np.min(mu[unit > 0.0]) ** 2):
-                    raise ValueError(f"lambda {self.lam!r} is too small: "
-                                     f"1/mu^2 overflows at q {q!r}")
-            largest = max(largest, float(np.max(mu)))
-        phase = 2.0 * max(largest, 1.0) * (self.t_max / self.lam)
+        """Reject a t_max whose largest phase, 2 mu t or 2 t in the closed
+        kernel and +-2 mu t in the exact engine, is not finite."""
+        largest = max(float(np.max(closedform._cached_couplings(
+            self._field.cutoff, self.m, q)[2])) for q in self.q_values)
+        phase = 2.0 * max(largest, 1.0) * self.t_max
         if not np.isfinite(phase):
             raise ValueError(
-                f"t_max {self.t_max!r} at lambda {self.lam!r} overflows a "
-                f"phase: 2 t max(mu, 1) = {phase!r} for largest mu {largest!r}")
+                f"t_max {self.t_max!r} overflows a phase: "
+                f"2 t max(mu, 1) = {phase!r} for largest mu {largest!r}")
 
     def _normalised(self, name: str, amplitudes) -> tuple:
         """The amplitudes at unit norm: a norm more than 1e-6 from 1 is
@@ -89,8 +83,9 @@ class SweepConfig:
 
     @property
     def time_grid(self) -> np.ndarray:
-        """Times in units of 1/lambda such that lambda*t spans [0, t_max]."""
-        return np.linspace(0.0, self.t_max, self.steps) / self.lam
+        """The grid of lambda*t, [0, t_max]: the engines' time in units
+        of 1/lambda."""
+        return np.linspace(0.0, self.t_max, self.steps)
 
     def atomic_state(self) -> exact.AtomicInitialState:
         return exact.AtomicInitialState(*self.atoms)
@@ -99,7 +94,7 @@ class SweepConfig:
         return self._unknown
 
     def hamiltonian(self, q: float) -> exact.HamiltonianSpec:
-        return exact.HamiltonianSpec(self.lam, m=self.m, q=q)
+        return exact.HamiltonianSpec(m=self.m, q=q)
 
     def field(self) -> algebra.FieldSpec:
         return self._field

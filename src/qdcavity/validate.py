@@ -5,8 +5,7 @@ acceptance tests assert the same bounds independently.  Every time-sweep
 check reads a SweepConfig: those on Bloch vectors or reduced states run
 sweep.sweep, the code path of `simulate` and `teleport`, and the two that
 need the amplitude table itself build it on the config's time grid.  The
-SweepConfig defaults give the excited pair |ee>, lambda = 1 and lambda*t
-in [0, 10].
+SweepConfig defaults give the excited pair |ee> and lambda*t in [0, 10].
 """
 
 from dataclasses import dataclass

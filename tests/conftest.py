@@ -47,25 +47,27 @@ def collective_lowering() -> np.ndarray:
     return np.kron(lower, one) + np.kron(one, lower)
 
 
-def build_hamiltonian(spec, cutoff: int) -> np.ndarray:
+def build_hamiltonian(spec, cutoff: int, lam: float = 1.0) -> np.ndarray:
     """Operator-level oracle: the full interaction-picture Hamiltonian
         lam (sigma+ a_q^m + sigma- a_q^+m + tau+ a_q^m + tau- a_q^+m)
-    as a dense 4(cutoff+1)-square matrix, for small cutoffs only."""
+    as a dense 4(cutoff+1)-square matrix, for small cutoffs only.  The
+    engines work at lam = 1, in units of 1/lam."""
     a_m = deformed_lowering_power(cutoff, spec.m, spec.q)
-    h = spec.lam * np.kron(collective_lowering().T, a_m)
+    h = lam * np.kron(collective_lowering().T, a_m)
     return (h + h.T).astype(complex)
 
 
-def apply_hamiltonian(spec, psi: np.ndarray) -> np.ndarray:
-    """H psi for psi of shape (4, cutoff+1), in operator form and linear
-    memory: (a_q^m psi)[p-m] = L[p] psi[p] and (a_q^+m psi)[p] =
-    L[p] psi[p-m], with L = ladder_elements(cutoff, m, q)."""
+def apply_hamiltonian(spec, psi: np.ndarray, lam: float = 1.0) -> np.ndarray:
+    """H psi for H = build_hamiltonian(spec, cutoff, lam) and psi of shape
+    (4, cutoff+1), in operator form and linear memory:
+    (a_q^m psi)[p-m] = L[p] psi[p] and (a_q^+m psi)[p] = L[p] psi[p-m],
+    with L = ladder_elements(cutoff, m, q)."""
     m, ladder = spec.m, ladder_elements(psi.shape[-1] - 1, spec.m, spec.q)
     lowered, raised = np.zeros_like(psi), np.zeros_like(psi)
     lowered[:, :-m] = ladder[m:] * psi[:, m:]
     raised[:, m:] = ladder[m:] * psi[:, :-m]
     low = collective_lowering()
-    return spec.lam * (low.T @ lowered + low @ raised)
+    return lam * (low.T @ lowered + low @ raised)
 
 
 def reference_amplitudes(mean_photons: float, count: int) -> np.ndarray:
@@ -117,9 +119,8 @@ def reference_amplitude_arrays(t, atoms, field, spec) -> np.ndarray:
     w_n2m = field.weights
     w_nm = np.concatenate([np.zeros(m), w_n2m[:-m]])
     w_n = np.concatenate([np.zeros(2 * m), w_n2m[:-2 * m]])
-    ladder = ladder_elements(field.cutoff, m, spec.q)
-    nu2 = spec.lam * ladder
-    nu1 = spec.lam * np.concatenate([np.zeros(m), ladder[:-m]])
+    nu2 = ladder_elements(field.cutoff, m, spec.q)
+    nu1 = np.concatenate([np.zeros(m), nu2[:-m]])
     mu = np.sqrt((nu1 * nu1 + nu2 * nu2) / 2.0)
 
     mu_safe = np.where(mu > 0.0, mu, 1.0)

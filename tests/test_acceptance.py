@@ -42,7 +42,7 @@ def _report(ok: bool, name: str, detail: str) -> None:
 def _config(q, m, nbar):
     cutoff = choose_cutoff(nbar, m)
     field = coherent_weights(nbar, cutoff)
-    return field, HamiltonianSpec(1.0, m=m, q=q)
+    return field, HamiltonianSpec(m=m, q=q)
 
 
 def test_criterion_01_commutator_identity():

@@ -132,9 +132,10 @@ class TestQFactorialRatio:
             ladder_elements(-1, 2, 0.5)
 
 
-def per_manifold_couplings(cutoff, m, lam, q):
-    """nu1, nu2, mu per manifold index n = -2m..cutoff-2m, written out per
-    n as the couplings were before the ladder table: the reference."""
+def per_manifold_couplings(cutoff, m, q):
+    """nu1, nu2, mu per manifold index n = -2m..cutoff-2m, in units of
+    lambda, written out per n as the couplings were before the ladder
+    table: the reference."""
     def ladder(n):
         return math.sqrt(math.prod(q_number(j, q)
                                    for j in range(n + 1, n + m + 1)))
@@ -143,9 +144,9 @@ def per_manifold_couplings(cutoff, m, lam, q):
     nu2 = np.zeros(cutoff + 1)
     for i, n in enumerate(range(-2 * m, cutoff - 2 * m + 1)):
         if n >= 0:
-            nu1[i] = lam * ladder(n)
+            nu1[i] = ladder(n)
         if n >= -m:
-            nu2[i] = lam * ladder(n + m)
+            nu2[i] = ladder(n + m)
     return nu1, nu2, np.sqrt((nu1 * nu1 + nu2 * nu2) / 2.0)
 
 
@@ -153,25 +154,25 @@ class TestLadderCouplings:
     """Couplings of manifold n = 0 sit at index 2m of the coupling table."""
 
     def test_single_photon_undeformed(self):
-        nu1, nu2, mu = _cached_couplings(8, 1, 1.0, 1.0)
+        nu1, nu2, mu = _cached_couplings(8, 1, 1.0)
         assert nu1[2] == pytest.approx(1.0, rel=1e-14)
         assert nu2[2] == pytest.approx(math.sqrt(2.0), rel=1e-14)
         assert mu[2] == pytest.approx(math.sqrt(1.5), rel=1e-14)
 
     def test_single_photon_deformed(self):
-        nu1, nu2, mu = _cached_couplings(8, 1, 1.0, 0.5)
+        nu1, nu2, mu = _cached_couplings(8, 1, 0.5)
         assert nu1[2] == pytest.approx(1.0, rel=1e-14)
         assert nu2[2] == pytest.approx(math.sqrt(1.5), rel=1e-14)
         assert mu[2] == pytest.approx(math.sqrt(1.25), rel=1e-14)
 
     def test_two_photon_undeformed(self):
-        nu1, nu2, mu = _cached_couplings(8, 2, 1.0, 1.0)
+        nu1, nu2, mu = _cached_couplings(8, 2, 1.0)
         assert nu1[4] == pytest.approx(math.sqrt(2.0), rel=1e-14)
         assert nu2[4] == pytest.approx(math.sqrt(12.0), rel=1e-14)
         assert mu[4] == pytest.approx(math.sqrt(7.0), rel=1e-14)
 
     def test_mu_matches_stored_couplings(self):
-        nu1, nu2, mu = _cached_couplings(13, 2, 0.8, 0.9)
+        nu1, nu2, mu = _cached_couplings(13, 2, 0.9)
         for i in range(14):
             assert mu[i] == math.sqrt((nu1[i] ** 2 + nu2[i] ** 2) / 2.0)
 
@@ -181,17 +182,16 @@ class TestLadderCouplings:
         with pytest.raises(ValueError):
             ladder_elements(4, 0, 0.5)
         with pytest.raises(ValueError):
-            HamiltonianSpec(0.0, m=1, q=0.5)
+            HamiltonianSpec(m=0, q=0.5)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_per_manifold_formula(self, m):
         for q in (0.0, 0.5, 0.9, 1.0 - 1e-12, 1.0):
-            for lam in (0.8, 1.0):
-                for cutoff in (2 * m, 59, 627):
-                    table = _cached_couplings(cutoff, m, lam, q)
-                    reference = per_manifold_couplings(cutoff, m, lam, q)
-                    for got, want in zip(table, reference):
-                        assert np.array_equal(got, want), (q, lam, cutoff)
+            for cutoff in (2 * m, 59, 627):
+                table = _cached_couplings(cutoff, m, q)
+                reference = per_manifold_couplings(cutoff, m, q)
+                for got, want in zip(table, reference):
+                    assert np.array_equal(got, want), (q, cutoff)
 
 
 class TestCoherentWeights:

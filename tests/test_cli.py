@@ -83,9 +83,15 @@ class TestParsing:
             SweepConfig(t_max=0.0)
 
     def test_empty_q_values_rejected(self):
-        # lambda is checked once per q, so an empty list would skip it.
+        # A sweep over no q would print a header and no row.
         with pytest.raises(ValueError, match="q_values"):
-            SweepConfig(q_values=(), lam=float("nan"), nbar=0.0)
+            SweepConfig(q_values=(), nbar=0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_lambda_rejected(self, lam):
+        # The engines never see lambda, so the config is its one check.
+        with pytest.raises(ValueError, match="lambda"):
+            SweepConfig(q_values=(0.5, 1.0), lam=lam, nbar=0.0)
 
 
 class TestConfigFile:
@@ -360,6 +366,44 @@ def test_largest_finite_phase_runs(command, capsys):
                for key, value in row.items() if key != "branch")
 
 
+def assert_rows_as_at_unit_lambda(argv, lam, capsys):
+    """argv run with --lambda lam prints what it prints at lambda 1,
+    apart from the lambda= cell of the header."""
+    code, out, err = run_cli(argv + ["--lambda", lam], capsys)
+    assert code == 0, err
+    unit = run_cli(argv + ["--lambda", "1"], capsys)[1]
+    assert f"lambda={fmt(float(lam))} " in out
+    lines = out.replace(f"lambda={fmt(float(lam))} ", "lambda=1 ").splitlines()
+    assert len(lines) == len(unit.splitlines())
+    assert [i for i, (got, want) in enumerate(zip(lines, unit.splitlines()))
+            if got != want] == []
+
+
+@pytest.mark.parametrize("lam", ["0.7", "1.3", "2", "1e-100", "1e-155",
+                                 "1e-200", "1e10"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--fig", "1a"],
+    ["simulate", "--fig", "1b", "--engine", "both"],
+    ["teleport", "--fig", "3a", "--engine", "both"],
+], ids=["1a", "1b-both", "3a-both"])
+def test_lambda_changes_no_data_row(argv, lam, capsys):
+    # The engines work in units of 1/lambda: the rows depend on lambda t
+    # alone, and lambda itself appears only in the header.
+    assert_rows_as_at_unit_lambda(argv, lam, capsys)
+
+
+@pytest.mark.parametrize("argv, lam", [
+    (["simulate", "--t-max", "1e10", "--steps", "3"], "1e-300"),
+    (["simulate", "--steps", "3"], "1e-155"),
+    (["simulate", "--steps", "3"], "1e-200"),
+], ids=["phase-overflow-tiny-lambda", "tiny-lambda-swap-overflow",
+        "tiny-lambda-mu-underflow"])
+def test_tiny_lambda_runs(argv, lam, capsys):
+    # Each input would leave the float range in an engine that scaled by
+    # lambda: t_max / lambda, 1/mu^2 or mu, as the ids say.
+    assert_rows_as_at_unit_lambda(argv, lam, capsys)
+
+
 class TestPresetConsistency:
     def test_wrong_subcommand_preset_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -531,19 +575,20 @@ class TestBadConfigWritesNothing:
         ["teleport", "--alpha", "1", "--beta", "1"],
         ["simulate", "--t-max", "nan", "--steps", "3"],
         ["simulate", "--lambda", "inf", "--steps", "3"],
+        ["simulate", "--lambda", "0", "--steps", "3"],
+        ["simulate", "--lambda", "-1", "--steps", "3"],
+        ["simulate", "--lambda", "nan", "--steps", "3"],
         ["simulate", "--nbar", "nan", "--steps", "3"],
         ["simulate", "--atoms", "nan,0,0,0", "--steps", "3"],
         ["teleport", "--alpha", "nan", "--beta", "0", "--steps", "3"],
         ["simulate", "--t-max", "1e308", "--steps", "3"],
         ["teleport", "--t-max", "1e308", "--steps", "3"],
-        ["simulate", "--lambda", "1e-300", "--t-max", "1e10", "--steps", "3"],
-        ["simulate", "--lambda", "1e-155", "--steps", "3"],
-        ["simulate", "--lambda", "1e-200", "--steps", "3"],
+        ["simulate", "--lambda", "1e-300", "--t-max", "1e308", "--steps", "3"],
     ], ids=["q-out-of-range", "negative-nbar", "zero-m", "unnormalised-input",
-            "nan-t-max", "inf-lambda", "nan-nbar", "nan-atoms", "nan-alpha",
+            "nan-t-max", "inf-lambda", "zero-lambda", "negative-lambda",
+            "nan-lambda", "nan-nbar", "nan-atoms", "nan-alpha",
             "phase-overflow-simulate", "phase-overflow-teleport",
-            "phase-overflow-tiny-lambda", "tiny-lambda-swap-overflow",
-            "tiny-lambda-mu-underflow"])
+            "tiny-lambda-phase-overflow"])
     def test_no_output_and_no_file(self, argv, tmp_path, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == "" and err.startswith("error:")

@@ -32,7 +32,7 @@ def excited_pair():
 def standard_config(q=0.9, m=1, nbar=10.0):
     cutoff = choose_cutoff(nbar, m)
     field = coherent_weights(nbar, cutoff)
-    spec = HamiltonianSpec(1.0, m=m, q=q)
+    spec = HamiltonianSpec(m=m, q=q)
     return field, spec
 
 
@@ -83,7 +83,7 @@ class TestAmplitudeQuadruple:
 
     def test_vacuum_rabi_law(self):
         field = coherent_weights(0.0, 2)
-        spec = HamiltonianSpec(1.0, m=1, q=1.0)
+        spec = HamiltonianSpec(m=1, q=1.0)
         for t in np.linspace(0.0, 12.0, 97):
             column = amplitude_table(t, excited_pair(), field, spec).c[:, 2]
             law = 1.0 - (2.0 / 3.0) * math.sin(math.sqrt(1.5) * t) ** 2
@@ -94,7 +94,7 @@ class TestAmplitudeQuadruple:
         # The same error Propagator raises for the same condition.
         with pytest.raises(ConfigurationError, match="2m"):
             amplitude_table(0.0, excited_pair(), coherent_weights(0.0, 1),
-                            HamiltonianSpec(1.0, m=1))
+                            HamiltonianSpec(m=1))
 
 
 class TestNormalization:

@@ -37,17 +37,18 @@ def manifold_members(cutoff, m):
 
 class TestHamiltonianSpec:
     def test_resonant_constructor(self):
-        spec = HamiltonianSpec(1.0, m=2, q=0.5)
+        spec = HamiltonianSpec(m=2, q=0.5)
         assert spec.m == 2 and spec.q == 0.5
 
-    def test_rejects_nonpositive_coupling(self):
-        with pytest.raises(ConfigurationError):
-            HamiltonianSpec(0.0, m=1, q=1.0)
+    def test_rejects_nonpositive_multiplicity(self):
+        for m in (0, -1):
+            with pytest.raises(ConfigurationError, match="multiplicity"):
+                HamiltonianSpec(m=m, q=1.0)
 
-    @pytest.mark.parametrize("coupling", [math.nan, math.inf])
-    def test_rejects_non_finite_coupling(self, coupling):
-        with pytest.raises(ConfigurationError, match="lambda"):
-            HamiltonianSpec(coupling)
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_rejects_non_finite_multiplicity(self, m):
+        with pytest.raises(ConfigurationError, match="multiplicity"):
+            HamiltonianSpec(m=m)
 
 
 class TestDeformedLadder:
@@ -76,18 +77,18 @@ class TestDeformedLadder:
 class TestBuildHamiltonian:
     def test_rejects_small_cutoff(self):
         with pytest.raises(ConfigurationError, match="one full manifold"):
-            Propagator(HamiltonianSpec(1.0, m=2, q=1.0), 3)
+            Propagator(HamiltonianSpec(m=2, q=1.0), 3)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_block_stacks_match_dense_cut(self, m):
         # The propagator's stacks, built from indices, are bit for bit the
         # blocks cut out of the operator-level oracle, so eigh sees the
-        # same input either way.
+        # same input either way; they are H / lam, in units of lam.
         for lam in (1.0, 1.3):
             for q in (0.0, 0.5, 0.9, 1.0):
                 for cutoff in (2 * m, 2 * m + 1, 17, 60):
-                    spec = HamiltonianSpec(lam, m, q)
-                    h = build_hamiltonian(spec, cutoff)
+                    spec = HamiltonianSpec(m, q)
+                    h = build_hamiltonian(spec, cutoff, lam)
                     stacks = _block_stacks(spec, cutoff)
                     flats = _manifold_blocks(cutoff, m)
                     assert len(stacks) == len(flats) == 3
@@ -95,18 +96,18 @@ class TestBuildHamiltonian:
                         assert np.array_equal(flat, expected)
                         cut = h[flat[:, :, None], flat[:, None, :]]
                         assert blocks.dtype == cut.dtype
-                        assert blocks.tobytes() == cut.tobytes(), (
+                        assert (lam * blocks).tobytes() == cut.tobytes(), (
                             lam, q, cutoff)
 
     def test_hermitian(self):
-        spec = HamiltonianSpec(0.7, m=2, q=0.5)
-        h = build_hamiltonian(spec, 12)
+        spec = HamiltonianSpec(m=2, q=0.5)
+        h = build_hamiltonian(spec, 12, 0.7)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
     def test_first_manifold_chain(self):
         # For m=1, q=1, lambda=1 the lowest manifold couples as the chain
         # ee0 -(1)- eg1/ge1 -(sqrt(2))- gg2.
-        spec = HamiltonianSpec(1.0, m=1, q=1.0)
+        spec = HamiltonianSpec(m=1, q=1.0)
         h = build_hamiltonian(spec, 2)
         dim = 3
         idx = {"ee0": 0 * dim + 0, "eg1": 1 * dim + 1,
@@ -121,20 +122,20 @@ class TestBuildHamiltonian:
     def test_operator_form_matches_dense_oracle(self, m, rng):
         # The linear-memory H psi of the large-input tests against the
         # dense oracle.
-        spec = HamiltonianSpec(1.3, m, 0.7)
+        spec = HamiltonianSpec(m, 0.7)
         psi = rng.normal(size=(4, 5 * m)) + 1j * rng.normal(size=(4, 5 * m))
         np.testing.assert_allclose(
-            apply_hamiltonian(spec, psi).reshape(-1),
-            build_hamiltonian(spec, 5 * m - 1) @ psi.reshape(-1),
+            apply_hamiltonian(spec, psi, 1.3).reshape(-1),
+            build_hamiltonian(spec, 5 * m - 1, 1.3) @ psi.reshape(-1),
             rtol=0, atol=1e-12)
 
     def test_manifold_closure(self):
         # The stacks partition the basis into the manifolds, members in
         # ee, eg, ge, gg order, and no coupling leaks between blocks.
         for m in (1, 2, 3):
-            spec = HamiltonianSpec(1.3, m, 0.9)
+            spec = HamiltonianSpec(m, 0.9)
             cutoff = 4 * m + 3
-            h = build_hamiltonian(spec, cutoff)
+            h = build_hamiltonian(spec, cutoff, 1.3)
             stacks = _manifold_blocks(cutoff, m)
             assert [stack.shape[1] for stack in stacks] == [1, 3, 4]
             blocks = sorted(row.tolist() for stack in stacks for row in stack)
@@ -176,7 +177,7 @@ class TestInitialState:
 class TestPropagate:
     def test_identity_at_t_zero(self):
         field = coherent_weights(3.0, choose_cutoff(3.0, 1))
-        spec = HamiltonianSpec(1.0, m=1, q=0.5)
+        spec = HamiltonianSpec(m=1, q=0.5)
         state = initial_composite_state(excited_pair(), field)
         evolved = Propagator(spec, state.cutoff).evolve(state, 0.0)
         np.testing.assert_allclose(evolved.amplitudes, state.amplitudes,
@@ -184,7 +185,7 @@ class TestPropagate:
 
     def test_norm_preserved(self):
         field = coherent_weights(10.0, choose_cutoff(10.0, 1))
-        spec = HamiltonianSpec(1.0, m=1, q=0.9)
+        spec = HamiltonianSpec(m=1, q=0.9)
         state = initial_composite_state(excited_pair(), field)
         prop = Propagator(spec, field.cutoff)
         for t in (1.0, 5.0, 10.0):
@@ -195,8 +196,10 @@ class TestPropagate:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("lam", [1.0, 1.3], ids=["resonant", "lam1.3"])
     def test_matches_per_block_loop(self, m, lam, rng):
-        # Reference: cut, diagonalise and evolve each manifold on its own.
-        spec = HamiltonianSpec(lam, m, 0.8)
+        # Reference: cut, diagonalise and evolve each manifold on its own,
+        # in units of 1/lam as the propagator works: H / lam (the oracle at
+        # its default lam = 1) to the times lam t.
+        spec = HamiltonianSpec(m, 0.8)
         cutoff = 5 * m + 4
         h = build_hamiltonian(spec, cutoff)
         blocks = [(members, *np.linalg.eigh(h[np.ix_(members, members)]))
@@ -205,7 +208,7 @@ class TestPropagate:
                 + 1j * rng.normal(size=(4, cutoff + 1)))
         state = CompositeState(cutoff, amps / np.linalg.norm(amps))
         prop = Propagator(spec, cutoff)
-        times = np.array([0.0, 0.3, 2.7, 11.0])
+        times = lam * np.array([0.0, 0.3, 2.7, 11.0])
         stacked = prop.evolve(state, times).amplitudes
         for t, evolved in zip(times, stacked):
             expected = state.amplitudes.reshape(-1).copy()
@@ -219,7 +222,7 @@ class TestPropagate:
 
     def test_rejects_negative_time(self):
         field = coherent_weights(0.0, 2)
-        spec = HamiltonianSpec(1.0)
+        spec = HamiltonianSpec()
         state = initial_composite_state(excited_pair(), field)
         with pytest.raises(ValueError):
             Propagator(spec, state.cutoff).evolve(state, -1.0)
@@ -228,7 +231,7 @@ class TestPropagate:
         # Single-manifold analytic solution: the ee0 amplitude follows
         # 1 - (2/3) sin^2(sqrt(3/2) t).
         field = coherent_weights(0.0, 2)
-        spec = HamiltonianSpec(1.0, m=1, q=1.0)
+        spec = HamiltonianSpec(m=1, q=1.0)
         state = initial_composite_state(excited_pair(), field)
         prop = Propagator(spec, 2)
         for t in np.linspace(0.0, 12.0, 97):
@@ -239,22 +242,23 @@ class TestPropagate:
     def test_matches_dense_exponential(self, rng):
         # Independent oracle: full-space eigendecomposition.
         field = coherent_weights(2.0, 24)
-        spec = HamiltonianSpec(0.9, m=1, q=0.7)
+        # H at lam = 0.9; the propagator, in units of 1/lam, goes to lam t.
+        spec = HamiltonianSpec(m=1, q=0.7)
         atoms = normalized_atoms(0.3, 0.5 - 0.2j, -0.4, 0.6j)
         state = initial_composite_state(atoms, field)
-        h = build_hamiltonian(spec, 24)
+        h = build_hamiltonian(spec, 24, 0.9)
         eigvals, eigvecs = np.linalg.eigh(h)
         prop = Propagator(spec, 24)
         for t in (0.7, 2.3, 6.1):
             dense = eigvecs @ (np.exp(-1j * eigvals * t)
                                * (eigvecs.conj().T
                                   @ state.amplitudes.reshape(-1)))
-            block = prop.evolve(state, t).amplitudes.reshape(-1)
+            block = prop.evolve(state, 0.9 * t).amplitudes.reshape(-1)
             np.testing.assert_allclose(block, dense, atol=1e-10)
 
     def test_energy_conserved(self):
         field = coherent_weights(10.0, choose_cutoff(10.0, 1))
-        spec = HamiltonianSpec(1.0, m=1, q=0.9)
+        spec = HamiltonianSpec(m=1, q=0.9)
         atoms = normalized_atoms(0.6, 0.0, 0.8, 0.0)
         state = initial_composite_state(atoms, field)
         h = build_hamiltonian(spec, field.cutoff)
@@ -268,7 +272,7 @@ class TestPropagate:
             assert abs(e - e0) < 1e-9 * max(1.0, abs(e0))
 
     def test_cutoff_insensitivity(self):
-        spec = HamiltonianSpec(1.0, m=1, q=0.9)
+        spec = HamiltonianSpec(m=1, q=0.9)
         base = choose_cutoff(10.0, 1)
         rhos = {}
         for cutoff in (base, base + 10):
@@ -294,7 +298,7 @@ class TestReducedState:
 
     def test_trace_and_purity(self):
         field = coherent_weights(10.0, choose_cutoff(10.0, 1))
-        spec = HamiltonianSpec(1.0, m=1, q=0.5)
+        spec = HamiltonianSpec(m=1, q=0.5)
         state = initial_composite_state(excited_pair(), field)
         for t in (0.5, 3.0, 8.0):
             rho = reduced_atomic_state(

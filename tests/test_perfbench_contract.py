@@ -48,7 +48,7 @@ def test_traced_functions_exist():
 def test_scalar_time_shapes(nbar):
     cutoff = choose_cutoff(nbar, 1)
     field = coherent_weights(nbar, cutoff)
-    spec = HamiltonianSpec(1.0, m=1, q=0.7)
+    spec = HamiltonianSpec(m=1, q=0.7)
     atoms = AtomicInitialState(0.6, 0.0, 0.0, 0.8)
     t = np.linspace(0.0, 10.0, 201)[37]
     bloch = evolved_bloch(t, atoms, field, spec)

@@ -1,7 +1,9 @@
-"""Property-based tests over generated atoms, deformations,
+"""Property-based tests over generated atoms, couplings, deformations,
 multiplicities, field strengths and times, beyond the fixed grid of the
 acceptance suite: the closed form against the exact propagator, and the
-exact propagator's conservation laws on arbitrary composite states."""
+exact propagator against the dense oracle and its conservation laws on
+arbitrary composite states.  The engines work in units of 1/lambda, so a
+drawn lam enters them as the time lam * t and the oracle as H(lam)."""
 
 import math
 
@@ -30,10 +32,10 @@ def test_closed_form_matches_exact_propagator(parts, lam, q, m, nbar, t):
     atoms = normalized_atoms(
         *(complex(re, im) for re, im in zip(parts[::2], parts[1::2])))
     field = coherent_weights(nbar, choose_cutoff(nbar, m))
-    spec = HamiltonianSpec(lam, m=m, q=q)
+    spec = HamiltonianSpec(m=m, q=q)
     reduced = reduced_atomic_state(Propagator(spec, field.cutoff).evolve(
-        initial_composite_state(atoms, field), t))
-    assert max_deviation(evolved_bloch(t, atoms, field, spec),
+        initial_composite_state(atoms, field), lam * t))
+    assert max_deviation(evolved_bloch(lam * t, atoms, field, spec),
                          decompose(reduced)) < 1e-6
 
 
@@ -47,11 +49,16 @@ def test_exact_propagator_conserves_norm_and_energy(lam, q, m, t, data):
     assume(np.linalg.norm(parts) > 1e-3)
     amps = parts[0] + 1j * parts[1]
     state = CompositeState(cutoff, amps / np.linalg.norm(amps))
-    spec = HamiltonianSpec(lam, m, q)
-    h = build_hamiltonian(spec, cutoff)
+    spec = HamiltonianSpec(m, q)
+    h = build_hamiltonian(spec, cutoff, lam)
     psi0 = state.amplitudes.reshape(-1)
     e0 = (psi0.conj() @ h @ psi0).real
-    psi = Propagator(spec, cutoff).evolve(state, t).amplitudes.reshape(-1)
+    psi = Propagator(spec, cutoff).evolve(state, lam * t).amplitudes
+    psi = psi.reshape(-1)
+    # expm(-i H(lam) t) psi0 from the dense oracle's eigendecomposition.
+    eigvals, eigvecs = np.linalg.eigh(h)
+    dense = eigvecs @ (np.exp(-1j * eigvals * t) * (eigvecs.conj().T @ psi0))
+    assert np.max(np.abs(psi - dense)) < 1e-10
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
     assert abs((psi.conj() @ h @ psi).real - e0) < 1e-9 * max(1.0, abs(e0))
 
@@ -70,12 +77,12 @@ def test_large_cutoff_propagator_conserves_norm_and_energy(lam, q, m, nbar,
     amps = (rng.normal(size=(4, cutoff + 1))
             + 1j * rng.normal(size=(4, cutoff + 1)))
     state = CompositeState(cutoff, amps / np.linalg.norm(amps))
-    spec = HamiltonianSpec(lam, m, q)
+    spec = HamiltonianSpec(m, q)
     e0 = np.vdot(state.amplitudes,
-                 apply_hamiltonian(spec, state.amplitudes)).real
-    psi = Propagator(spec, cutoff).evolve(state, t).amplitudes
+                 apply_hamiltonian(spec, state.amplitudes, lam)).real
+    psi = Propagator(spec, cutoff).evolve(state, lam * t).amplitudes
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
-    e = np.vdot(psi, apply_hamiltonian(spec, psi)).real
+    e = np.vdot(psi, apply_hamiltonian(spec, psi, lam)).real
     assert abs(e - e0) < 1e-9 * max(1.0, abs(e0))
 
 

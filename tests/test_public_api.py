@@ -3,13 +3,16 @@ listed by the module that defines it, every export is read by the
 package or the benchmark harness, and deleted names stay gone."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import qdcavity
+from qdcavity.closedform import _cached_couplings
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,3 +74,12 @@ def test_every_export_is_read_outside_the_tests():
               for attr in importlib.import_module(f"qdcavity.{name}").__all__
               if attr not in read]
     assert unread == []
+
+
+def test_lambda_stays_out_of_the_engines():
+    # The engines work in units of 1/lambda; only SweepConfig and the CLI
+    # know lambda.
+    assert tuple(field.name for field in dataclasses.fields(
+        qdcavity.HamiltonianSpec)) == ("m", "q")
+    assert tuple(inspect.signature(_cached_couplings).parameters) == (
+        "cutoff", "m", "q_value")

@@ -135,7 +135,7 @@ class TestClosedFormBob:
     def setup_method(self):
         cutoff = choose_cutoff(10.0, 1)
         self.field = coherent_weights(10.0, cutoff)
-        self.spec = HamiltonianSpec(1.0, m=1, q=0.9)
+        self.spec = HamiltonianSpec(m=1, q=0.9)
         self.atoms = AtomicInitialState(1.0, 0.0, 0.0, 0.0)
 
     def test_initial_channel_value(self):
@@ -188,7 +188,7 @@ class TestFidelities:
         atoms = AtomicInitialState(1.0, 0.0, 0.0, 0.0)
         unknown = UnknownQubit.from_bloch((1.0, 0.0, 0.0))
         for q in (0.5, 0.9):
-            spec = HamiltonianSpec(1.0, m=1, q=q)
+            spec = HamiltonianSpec(m=1, q=q)
             for t in np.linspace(0.0, 10.0, 51):
                 table = amplitude_table(t, atoms, field, spec)
                 score = fidelity_paper(unknown.su,

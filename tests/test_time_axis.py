@@ -69,7 +69,7 @@ def closed_sweep(request, rng):
     field = coherent_weights(nbar, choose_cutoff(nbar, 1))
     assert field.cutoff == cutoff
     times = np.linspace(0.0, 10.0, steps)
-    return times, random_atoms(rng), field, HamiltonianSpec(1.0, q=0.9)
+    return times, random_atoms(rng), field, HamiltonianSpec(q=0.9)
 
 
 class TestClosedForm:
@@ -182,7 +182,7 @@ EXACT_LAYER_CASES = [(1, 10.0), (2, 10.0), (3, 10.0), (1, 400.0)]
                          ids=[f"{m}-resonant-{nbar}"
                               for m, nbar in EXACT_LAYER_CASES])
 def test_exact_layers(m, nbar, rng):
-    spec = HamiltonianSpec(1.0, m, 0.8)
+    spec = HamiltonianSpec(m, 0.8)
     field = coherent_weights(nbar, choose_cutoff(nbar, m))
     initial = initial_composite_state(random_atoms(rng), field)
     prop = Propagator(spec, field.cutoff)
@@ -205,7 +205,7 @@ class TestEvolveIntoBuffer:
     def case(self, rng):
         field = coherent_weights(400.0, choose_cutoff(400.0, 1))
         initial = initial_composite_state(random_atoms(rng), field)
-        return (Propagator(HamiltonianSpec(1.0, q=0.8), field.cutoff), initial,
+        return (Propagator(HamiltonianSpec(q=0.8), field.cutoff), initial,
                 np.linspace(0.0, 20.0, 6))
 
     def test_matches_evolve_without_buffer(self, case):
@@ -243,7 +243,7 @@ class TestEvolveIntoBuffer:
 def test_exact_rejects_a_negative_time_in_a_stack():
     field = coherent_weights(10.0, choose_cutoff(10.0, 1))
     initial = initial_composite_state(AtomicInitialState(1, 0, 0, 0), field)
-    prop = Propagator(HamiltonianSpec(1.0, q=0.8), field.cutoff)
+    prop = Propagator(HamiltonianSpec(q=0.8), field.cutoff)
     with pytest.raises(ValueError):
         prop.evolve(initial, np.array([0.0, -1.0]))
 
