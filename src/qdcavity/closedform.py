@@ -12,11 +12,12 @@ doubly-excited head.  The couplings are the m-photon ladder elements of
 algebra.ladder_elements, in units of lambda (times are lambda*t); they
 vanish below m photons, so couplings to missing states are zero there.
 That keeps the same formulas valid and makes the table exhaust the whole
-truncated space (total weight 1 for any initial state).  A 1-D array of
-times in place of one time puts a leading time axis on every result;
-sweep.sweep runs every chunk through one buffer and one workspace,
-reduces it into the block's rows, and assembles Bloch states once per
-block.
+truncated space (total weight 1 for any initial state).  Where the
+deformed ladder has saturated, all manifolds share one Rabi rate, so the
+kernel evaluates its Rabi functions only up to there.  A 1-D array of
+times puts a leading time axis on every result; sweep.sweep runs every
+chunk through one buffer, one workspace and its q's kernel_factors,
+reduces it into the block's rows, and assembles Bloch states per block.
 """
 
 import collections
@@ -35,6 +36,7 @@ __all__ = [
     "amplitude_table",
     "bloch_from_table",
     "evolved_bloch",
+    "kernel_factors",
     "workspace",
 ]
 
@@ -118,18 +120,47 @@ def _scratch(work: np.ndarray, shape: tuple, count: int, dtype=complex):
         (count,) + shape)
 
 
+Factors = collections.namedtuple(
+    "Factors", "head mu frozen mu_safe two_mu_safe w_nm i_drive edges")
+
+
+def kernel_factors(atoms: AtomicInitialState, field: FieldSpec,
+                   spec: HamiltonianSpec) -> Factors:
+    """The time-invariant rows over n of one q's kernel.  head starts the
+    trailing run of bit-equal rates mu ([n]_q = 1/(1-q) in doubles; the
+    cutoff at q = 1); mu, frozen, mu_safe and 2 mu_safe end at head."""
+    a1, a2, a3, a4 = atoms.amplitudes
+    # Coherent weights W_{n+2m}, W_{n+m}, W_n for n = -2m..cutoff-2m; a
+    # weight at a negative photon number is zero.
+    w_n2m = field.weights
+    w_nm = np.concatenate([np.zeros(spec.m), w_n2m[:-spec.m]])
+    w_n = np.concatenate([np.zeros(2 * spec.m), w_n2m[:-2 * spec.m]])
+    nu1, nu2, mu = _cached_couplings(field.cutoff, spec.m, spec.q)
+    head = int(np.max(np.flatnonzero(mu != mu[-1]), initial=-1)) + 1
+    mu = mu[:head + 1]
+    frozen = mu == 0.0
+    mu_safe = np.where(frozen, 1.0, mu)
+    drive = a1 * nu1 * w_n + a4 * nu2 * w_n2m
+    edges = tuple((a * w, nu * drive, 1j * nu * (a2 + a3) * w_nm)
+                  for a, nu, w in ((a1, nu1, w_n), (a4, nu2, w_n2m)))
+    return Factors(head, mu, frozen, mu_safe, 2.0 * mu_safe, w_nm, 1j * drive,
+                   edges)
+
+
 def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
-                    spec: HamiltonianSpec, *, out=None,
-                    work=None) -> AmplitudeTable:
+                    spec: HamiltonianSpec, *, out=None, work=None,
+                    factors=None) -> AmplitudeTable:
     """All manifold amplitudes at time t, or at each time of a 1-D array.
     The table is a view, with each of its four rows contiguous, of the
     front of out (C-contiguous complex memory of at least its size) or of
-    fresh memory; work is a workspace, or a fresh one."""
+    fresh memory; work is a workspace and factors kernel_factors(atoms,
+    field, spec), each formed here when None."""
     if field.cutoff < 2 * spec.m:
         raise ConfigurationError(
             f"cutoff {field.cutoff} below one manifold span 2m = {2 * spec.m}")
-    a1, a2, a3, a4 = atoms.amplitudes
-    m = spec.m
+    (head, mu, frozen, mu_safe, two_mu_safe, w_nm, i_drive,
+     edges) = factors or kernel_factors(atoms, field, spec)
+    _, a2, a3, _ = atoms.amplitudes
     shape = np.shape(t) + (field.cutoff + 1,)  # one row
     size = 4 * math.prod(shape)
     rows = (np.empty(size, complex) if out is None else
@@ -137,13 +168,6 @@ def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
     work = workspace(math.prod(shape[:-1]), shape[-1]) if work is None else work
     t = np.asarray(t, dtype=float)[..., None]  # ([T,] 1) against n
 
-    # Coherent weights W_{n+2m}, W_{n+m}, W_n for n = -2m..cutoff-2m; a
-    # weight at a negative photon number is zero.
-    w_n2m = field.weights
-    w_nm = np.concatenate([np.zeros(m), w_n2m[:-m]])
-    w_n = np.concatenate([np.zeros(2 * m), w_n2m[:-2 * m]])
-
-    nu1, nu2, mu = _cached_couplings(field.cutoff, m, spec.q)
     # Every intermediate is written in place, each ufunc taking its operands
     # in the order of the formula; no sin, cos or complex product writes
     # over its own input, which may select another numpy loop.  The real
@@ -152,34 +176,35 @@ def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
     (sin_sq, cos_sq), (two_mu_t, mu_t), (half_rabi, swap) = (
         rows[k].view(float).reshape((2,) + shape) for k in (0, 1, 3))
 
-    # Frozen manifolds have mu = 0; there sin(2 mu t)/(2 mu) -> t, and swap
-    # is 0, not t^2 (which overflows): it only multiplies vanishing couplings.
-    # Where mu > 0, mu_safe is mu, so swap and sin_sq share one sin(mu t).
-    frozen = mu == 0.0
-    mu_safe = np.where(frozen, 1.0, mu)
-    np.sin(np.multiply(2.0 * mu_safe, t, out=two_mu_t), out=half_rabi)
-    np.divide(half_rabi, 2.0 * mu_safe, out=half_rabi)
-    half_rabi[..., frozen] = t
-    np.multiply(mu, t, out=mu_t)
-    np.square(np.cos(mu_t, out=cos_sq), out=cos_sq)
-    np.sin(mu_t, out=sin_sq)
-    np.square(np.divide(sin_sq, mu_safe, out=swap), out=swap)
-    swap[..., frozen] = 0.0
-    np.square(sin_sq, out=sin_sq)
+    # The four reals depend on n only through mu: computed on [0, head],
+    # column head is copied across the tail (equal inputs, equal bits).
+    # Frozen manifolds have sin(2 mu t)/(2 mu) -> t, and swap 0, not t^2
+    # (which overflows): it only multiplies vanishing couplings.  Where
+    # mu > 0, mu_safe is mu, so swap and sin_sq share one sin(mu t).
+    cut = (..., slice(head + 1))
+    np.sin(np.multiply(two_mu_safe, t, out=two_mu_t[cut]), out=half_rabi[cut])
+    np.divide(half_rabi[cut], two_mu_safe, out=half_rabi[cut])
+    half_rabi[cut][..., frozen] = t
+    np.multiply(mu, t, out=mu_t[cut])
+    np.square(np.cos(mu_t[cut], out=cos_sq[cut]), out=cos_sq[cut])
+    np.sin(mu_t[cut], out=sin_sq[cut])
+    np.square(np.divide(sin_sq[cut], mu_safe, out=swap[cut]), out=swap[cut])
+    swap[cut][..., frozen] = 0.0
+    np.square(sin_sq[cut], out=sin_sq[cut])
+    for real in (half_rabi, cos_sq, sin_sq, swap):
+        real[..., head + 1:] = real[..., head, None]
 
-    # Time-invariant factors are formed once per call, as rows over n.
     # Rows 1 and 2 come first, while rows 0 and 3 still hold the reals.
-    drive = a1 * nu1 * w_n + a4 * nu2 * w_n2m
-    np.multiply(1j * drive, half_rabi, out=mixing)
+    np.multiply(i_drive, half_rabi, out=mixing)
     for k, a, b, spare in ((1, a2, a3, rows[2]), (2, a3, a2, product)):
         np.subtract(np.multiply(a, cos_sq, out=rows[k]),
                     np.multiply(b, sin_sq, out=spare), out=rows[k])
         np.subtract(np.multiply(w_nm, rows[k], out=spare), mixing, out=rows[k])
-    for k, a, nu, w in ((0, a1, nu1, w_n), (3, a4, nu2, w_n2m)):
-        np.subtract(a * w, np.multiply(nu * drive, swap, out=product), out=product)
-        np.multiply(1j * nu * (a2 + a3) * w_nm, half_rabi, out=mixing)
+    for k, (a_w, nu_drive, i_nu_w) in zip((0, 3), edges):
+        np.subtract(a_w, np.multiply(nu_drive, swap, out=product), out=product)
+        np.multiply(i_nu_w, half_rabi, out=mixing)
         np.subtract(product, mixing, out=rows[k])
-    return AmplitudeTable(m, rows.swapaxes(0, -2))
+    return AmplitudeTable(spec.m, rows.swapaxes(0, -2))
 
 
 def evolved_bloch(t, atoms: AtomicInitialState, field: FieldSpec,

@@ -223,7 +223,15 @@ class Propagator:
         self._stacks = [(flat, *np.linalg.eigh(blocks))
                         for flat, blocks in _block_stacks(spec, cutoff)]
 
-    def evolve(self, state: CompositeState, t, *, out=None) -> CompositeState:
+    def coefficients(self, state: CompositeState) -> list:
+        """V^H psi0 per stack, (B, k, 1): what evolve reads of the state,
+        and takes as coefficients= when many calls evolve one state."""
+        psi0 = state.amplitudes.reshape(-1)
+        return [eigvecs.conj().mT @ psi0[flat][:, :, None]
+                for flat, _, eigvecs in self._stacks]
+
+    def evolve(self, state: CompositeState, t, *, out=None,
+               coefficients=None) -> CompositeState:
         """psi(t) = exp(-i H t) psi(0), H and t in units of lambda and
         1/lambda, one stack of blocks at a time, at one time t or at each
         time of a 1-D array (a stack of states).
@@ -247,18 +255,16 @@ class Propagator:
             raise ValueError(f"out must be a C-contiguous complex array of "
                              f"shape {shape} apart from the state, got "
                              f"{out.dtype} {out.shape}")
-        psi0 = state.amplitudes.reshape(-1)
-        amps = out.reshape(t.shape + psi0.shape)
-        for flat, eigvals, eigvecs in self._stacks:
-            # V^H psi0 once, (B, k, 1); phases per time, ([T,] B, k, 1),
-            # exponentiated and weighted in place.  The product V phases
-            # is the one other array: matmul cannot write over its own
-            # operand without numpy copying that operand first.
-            coefficients = eigvecs.conj().mT @ psi0[flat][:, :, None]
-            phases = np.empty(t.shape + coefficients.shape, dtype=complex)
+        coefficients = coefficients or self.coefficients(state)
+        amps = out.reshape(t.shape + (-1,))
+        for (flat, eigvals, eigvecs), weights in zip(self._stacks, coefficients):
+            # Phases per time, ([T,] B, k, 1), exponentiated and weighted in
+            # place; V phases is the one other array (numpy copies a matmul
+            # operand that the output overlaps).
+            phases = np.empty(t.shape + weights.shape, dtype=complex)
             np.multiply(-1j * eigvals, t[..., None, None], out=phases[..., 0])
             np.exp(phases, out=phases)
-            np.multiply(phases, coefficients, out=phases)
+            np.multiply(phases, weights, out=phases)
             amps[..., flat] = (eigvecs @ phases)[..., 0]
         return CompositeState(self.cutoff, out)
 

@@ -111,9 +111,10 @@ def sweep(config: SweepConfig):
     "exact") and the exact engine's reduced atomic states (None under
     engine "closed").  Inside a block both engines run in kernel chunks of
     CHUNK_CELLS // (cutoff + 1) times, writing their amplitudes into one
-    buffer per sweep.  The closed form works in one workspace per sweep
-    and reduces each chunk into the block's rows, read once per block;
-    the exact engine's reduced 4x4 states are joined."""
+    buffer per sweep, with what time does not change formed once per q
+    (kernel_factors, Propagator.coefficients).  The closed form works in
+    one workspace per sweep and reduces each chunk into the block's rows,
+    read once per block; the exact engine's reduced 4x4 states are joined."""
     field = config.field()
     atoms = config.atomic_state()
     width = field.cutoff + 1
@@ -128,6 +129,8 @@ def sweep(config: SweepConfig):
     for q in config.q_values:
         spec = config.hamiltonian(q)
         propagator = exact.Propagator(spec, field.cutoff) if propagate else None
+        factors = closedform.kernel_factors(atoms, field, spec) if closed else None
+        coefficients = propagator.coefficients(initial) if propagate else None
         for block, chunks in blocks:
             bloch = None
             if closed:
@@ -137,12 +140,13 @@ def sweep(config: SweepConfig):
                 for times in chunks:
                     closedform.amplitude_table(
                         times, atoms, field, spec, out=buffer[:len(times)],
-                        work=work).reduce_into(*(s[:, start:start + len(times)]
-                                                 for s in sums), work)
+                        work=work, factors=factors).reduce_into(
+                            *(s[:, start:start + len(times)] for s in sums), work)
                     start += len(times)
                 bloch = closedform.bloch_from_table(sums)
             reduced = _join_states([exact.reduced_atomic_state(
-                propagator.evolve(initial, times, out=buffer[:len(times)]))
+                propagator.evolve(initial, times, out=buffer[:len(times)],
+                                  coefficients=coefficients))
                 for times in chunks]) if propagate else None
             yield q, block, bloch, reduced
 

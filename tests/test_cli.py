@@ -464,9 +464,9 @@ class TestTimeChunks:
         buffers = []
         table = closedform.amplitude_table
 
-        def recording(*args, out, work):
+        def recording(*args, out, work, factors):
             buffers.append(out)
-            return table(*args, out=out, work=work)
+            return table(*args, out=out, work=work, factors=factors)
 
         monkeypatch.setattr(closedform, "amplitude_table", recording)
         config = SweepConfig(q_values=(0.5, 0.9), nbar=400.0, steps=301)
@@ -485,10 +485,10 @@ class TestTimeChunks:
         table, reduce_into = (closedform.amplitude_table,
                               closedform.AmplitudeTable.reduce_into)
 
-        def recording(*args, out, work):
+        def recording(*args, out, work, factors):
             works.append(work)
             tables.append(out)
-            return table(*args, out=out, work=work)
+            return table(*args, out=out, work=work, factors=factors)
 
         def reducing(self, populations, correlations, work):
             works.append(work)
@@ -507,6 +507,49 @@ class TestTimeChunks:
         assert all(work is second for work in works[per_sweep:])
         assert second is not first and first.shape == (2 * 6, 628)
         assert not any(np.shares_memory(first, out) for out in tables)
+
+    def test_sweep_forms_each_q_factors_once(self, monkeypatch):
+        # Cutoff 627: the time-invariant rows of each q are formed once and
+        # read by all 51 of its kernel chunks, not formed per chunk.
+        formed, read = [], []
+        form, table = closedform.kernel_factors, closedform.amplitude_table
+
+        def forming(*args):
+            formed.append(form(*args))
+            return formed[-1]
+
+        def recording(*args, out, work, factors):
+            read.append(factors)
+            return table(*args, out=out, work=work, factors=factors)
+
+        monkeypatch.setattr(closedform, "kernel_factors", forming)
+        monkeypatch.setattr(closedform, "amplitude_table", recording)
+        config = SweepConfig(q_values=(0.5, 0.9), nbar=400.0, steps=301)
+        assert [len(times) for _, times, _, _ in sweep(config)] == \
+            [256, 45] * 2
+        assert len(formed) == 2 and len(read) == 2 * 51
+        assert all(factors is formed[0] for factors in read[:51])
+        assert all(factors is formed[1] for factors in read[51:])
+
+    def test_sweep_keeps_no_factors(self):
+        # The rows belong to the sweep, like its buffer and workspace:
+        # nothing of them outlives it (a cache of both q's rows would
+        # keep about 150 KB).
+        config = SweepConfig(q_values=(0.5, 0.9), nbar=400.0, steps=301)
+        factors = closedform.kernel_factors(
+            config.atomic_state(), config.field(), config.hamiltonian(0.5))
+        row_bytes = factors.i_drive.nbytes
+        del factors
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in sweep(config):
+                pass
+            del _
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < row_bytes
 
     def test_sweep_takes_no_chunk_table_after_first_block(self):
         # Cutoff 627, 6-time chunks.  Building c.real**2 + c.imag**2 per
@@ -532,13 +575,15 @@ class TestTimeChunks:
 
     @pytest.mark.parametrize("engine", ["exact", "both"])
     def test_blocks_share_one_state_buffer(self, engine, monkeypatch):
-        # Cutoff 627: 256-time blocks of 6-time kernel chunks.
-        buffers = []
+        # Cutoff 627: 256-time blocks of 6-time kernel chunks, each q's
+        # initial state projected on its eigenvectors once.
+        buffers, projections = [], []
         evolve = exact.Propagator.evolve
 
-        def recording(self, state, t, *, out):
+        def recording(self, state, t, *, out, coefficients):
             buffers.append(out)
-            return evolve(self, state, t, out=out)
+            projections.append(coefficients)
+            return evolve(self, state, t, out=out, coefficients=coefficients)
 
         monkeypatch.setattr(exact.Propagator, "evolve", recording)
         config = SweepConfig(engine=engine, q_values=(0.5, 0.9), nbar=400.0,
@@ -549,6 +594,8 @@ class TestTimeChunks:
             ([6] * 42 + [4] + [6] * 7 + [3]) * 2
         assert all(out.base is buffers[0].base for out in buffers)
         assert buffers[0].base.shape == (6, 4, 628)
+        assert all(c is projections[0] for c in projections[:51])
+        assert all(c is projections[51] for c in projections[51:])
 
     def test_chunks_cover_the_grid_once(self, monkeypatch):
         monkeypatch.setattr(algebra, "CHUNK_CELLS", 7 * 60)

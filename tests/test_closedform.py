@@ -18,7 +18,8 @@ from qdcavity import (
     initial_composite_state,
     reduced_atomic_state,
 )
-from qdcavity.closedform import Reduction, bloch_from_table
+from qdcavity.closedform import (Reduction, _cached_couplings, bloch_from_table,
+                                 kernel_factors)
 from qdcavity.sweep import SweepConfig, sweep
 from conftest import (normalized_atoms, random_ket, reference_amplitude_arrays,
                       reference_reductions)
@@ -207,6 +208,13 @@ class TestBitIdentity:
     @given(parts=amplitudes, q=deformations, m=st.integers(1, 3),
            nbar=st.floats(0.0, 50.0), t=times)
     @example(parts=[1.0] + [0.0] * 7, q=0.0, m=3, nbar=10.0, t=0.0)
+    # Saturated tails of 621, 609 and 4 columns at cutoff 627 or 631.
+    @example(parts=[0.6, 0.2, 0.1, -0.3, -0.3, 0.5, 0.0, 0.4], q=0.0, m=3,
+             nbar=400.0, t=np.linspace(0.0, 20.0, 7))
+    @example(parts=[0.6, 0.2, 0.1, -0.3, -0.3, 0.5, 0.0, 0.4], q=0.1, m=1,
+             nbar=400.0, t=np.linspace(0.0, 20.0, 7))
+    @example(parts=[0.6, 0.2, 0.1, -0.3, -0.3, 0.5, 0.0, 0.4], q=0.945, m=1,
+             nbar=400.0, t=np.linspace(0.0, 20.0, 7))
     def test_table_and_reductions(self, parts, q, m, nbar, t):
         atoms = normalized_atoms(
             *(complex(re, im) for re, im in zip(parts[::2], parts[1::2])))
@@ -226,6 +234,12 @@ class TestBitIdentity:
            nbar=st.floats(0.0, 50.0), steps=st.integers(2, 700))
     @example(parts=[0.6, 0.2, 0.1, -0.3, -0.3, 0.5, 0.0, 0.4], q=0.9, m=1,
              nbar=400.0, steps=301)
+    @example(parts=[0.6, 0.2, 0.1, -0.3, -0.3, 0.5, 0.0, 0.4], q=0.0, m=3,
+             nbar=10.0, steps=301)
+    @example(parts=[0.6, 0.2, 0.1, -0.3, -0.3, 0.5, 0.0, 0.4], q=0.1, m=1,
+             nbar=400.0, steps=301)
+    @example(parts=[0.6, 0.2, 0.1, -0.3, -0.3, 0.5, 0.0, 0.4], q=0.945, m=1,
+             nbar=400.0, steps=301)
     def test_sweep_blocks(self, parts, q, m, nbar, steps):
         # Blocks of 256 times end inside a kernel chunk of CHUNK_CELLS //
         # (cutoff + 1) times, and the last block is shorter.
@@ -238,3 +252,32 @@ class TestBitIdentity:
             reference = reference_amplitude_arrays(
                 block, atoms, field, config.hamiltonian(q))
             assert same_bloch(bloch, reference_bloch(reference, m))
+
+
+class TestSaturatedTail:
+    """kernel_factors' head: the first column of the trailing run of one
+    Rabi rate, from which the kernel copies its reals."""
+
+    @staticmethod
+    def head_and_rates(q, m, nbar):
+        field, spec = standard_config(q=q, m=m, nbar=nbar)
+        factors = kernel_factors(excited_pair(), field, spec)
+        return factors.head, _cached_couplings(field.cutoff, m, q)[2]
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(q=deformations, m=st.integers(1, 3),
+           nbar=st.sampled_from([0.0, 10.0, 400.0]))
+    def test_head_starts_the_trailing_run(self, q, m, nbar):
+        head, mu = self.head_and_rates(q, m, nbar)
+        assert (mu[head:].view(np.int64) == mu[head:head + 1].view(np.int64)).all()
+        assert head == 0 or mu[head - 1] != mu[head]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_head_at_the_limits(self, m):
+        # q = 0 saturates the ladder at m photons: from n = 0 (column 2m)
+        # on, both couplings are 1 and every rate is sqrt((1 + 1)/2) = 1;
+        # at q = 1 no two manifolds share a rate and the tail is empty.
+        head, mu = self.head_and_rates(0.0, m, 400.0)
+        assert head == 2 * m and mu[head] == 1.0
+        head, mu = self.head_and_rates(1.0, m, 400.0)
+        assert head == mu.size - 1

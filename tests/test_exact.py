@@ -210,6 +210,9 @@ class TestPropagate:
         prop = Propagator(spec, cutoff)
         times = lam * np.array([0.0, 0.3, 2.7, 11.0])
         stacked = prop.evolve(state, times).amplitudes
+        projected = prop.evolve(state, times,
+                                coefficients=prop.coefficients(state)).amplitudes
+        assert np.array_equal(projected, stacked)
         for t, evolved in zip(times, stacked):
             expected = state.amplitudes.reshape(-1).copy()
             for members, eigvals, eigvecs in blocks:

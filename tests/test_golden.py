@@ -1,6 +1,6 @@
 """Golden SHA-256 hashes of the six figure presets, each run with
-`--engine closed`, `--engine exact` and `--engine both`, of two nbar 400
-sweeps at cutoff 627, and of the `validate` report.
+`--engine closed`, `--engine exact` and `--engine both`, of four nbar
+400 sweeps at cutoff 627, and of the `validate` report.
 
 Every refactor or performance change must keep these bytes identical.
 A version bump (the provenance header carries the version) or a
@@ -73,6 +73,28 @@ def test_cutoff_627_bytes_match_golden_hash(command, engine, tmp_path):
     assert "# cutoff=627" in path.read_text()
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_627[(command, engine)]
+
+
+# Cutoff 627 at q = 0.1 and 0.945: the Rabi rates saturate from column
+# 18 on at q = 0.1 (a 609-column tail of one rate) and from column 623 on
+# at q = 0.945 (a 4-column tail).  Recorded before the kernel used this.
+GOLDEN_TAIL_ARGS = ["--nbar", "400", "--steps", "301", "--q", "0.1", "--q",
+                    "0.945"]
+GOLDEN_TAIL = {
+    ("simulate", "both"): "4c4385bf7083c82f2834e030083139f67ae605a291fa9cb6abbb626b1bb2f09e",
+    ("teleport", "closed"): "6d27da249b4bf8ef80e53d09974c9dce0be6ae663a0401c30358e37a54d041ad",
+}
+
+
+@pytest.mark.parametrize("command,engine", sorted(GOLDEN_TAIL),
+                         ids=[f"{c}-{e}" for c, e in sorted(GOLDEN_TAIL)])
+def test_saturated_tail_bytes_match_golden_hash(command, engine, tmp_path):
+    path = tmp_path / f"{command}-{engine}.csv"
+    assert cli.main([command, "--engine", engine, *GOLDEN_TAIL_ARGS,
+                     "--out", str(path)]) == 0
+    assert "# cutoff=627" in path.read_text()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_TAIL[(command, engine)]
 
 
 # Inputs the closed kernel's frozen-manifold and reduction paths meet
