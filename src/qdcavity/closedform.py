@@ -12,16 +12,19 @@ doubly-excited head.  The couplings are the m-photon ladder elements of
 algebra.ladder_elements, in units of lambda (times are lambda*t); they
 vanish below m photons, so couplings to missing states are zero there.
 That keeps the same formulas valid and makes the table exhaust the whole
-truncated space (total weight 1 for any initial state).  Where the
-deformed ladder has saturated, all manifolds share one Rabi rate, so the
-kernel evaluates its Rabi functions only up to there.  A 1-D array of
-times puts a leading time axis on every result; sweep.sweep runs every
-chunk through one buffer, one workspace and its q's kernel_factors,
-reduces it into the block's rows, and assembles Bloch states per block.
+truncated space (total weight 1 for any initial state).  From column
+head on, where the deformed ladder has saturated, all manifolds share one
+Rabi rate: the kernel computes columns [0, X], X = min(cutoff, head + 2m),
+and the reduction sums the rest as quadratic forms formed once per q.  A
+1-D array of times puts a leading time axis on every result; sweep.sweep
+runs every chunk through one buffer, one workspace and its q's
+kernel_factors, reduces it into the block's rows, and assembles Bloch
+states per block.
 """
 
 import collections
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -43,15 +46,17 @@ __all__ = [
 
 # What bloch_from_table reads, as AmplitudeTable.reduce_into writes it.
 Reduction = collections.namedtuple("Reduction", "populations correlations")
+# The correlations' rows i, j and shift over m, in Reduction's order.
+_PAIRS = ((0, 2, 1), (1, 3, 1), (0, 1, 1), (2, 3, 1), (0, 3, 2), (1, 2, 0))
 
 
 class AmplitudeTable:
-    """Manifold amplitudes c, of shape ([T,] 4, cutoff + 1): row i holds
-    c^(i+1), and column n + 2m holds manifold n, for n from -2m."""
+    """Manifold amplitudes c on the explicit columns, of shape ([T,] 4,
+    X + 1): row i holds c^(i+1), and column n + 2m holds manifold n, for
+    n from -2m.  Past X, c = K R: reals R ([T,] 5), tail K's forms."""
 
-    def __init__(self, m: int, c: np.ndarray):
-        self.m = m
-        self.c = c
+    def __init__(self, m: int, c: np.ndarray, reals=None, tail=None):
+        self.m, self.c, self.reals, self.tail = m, c, reals, tail
 
     def reduce_into(self, populations: np.ndarray, correlations: np.ndarray,
                     work: np.ndarray) -> None:
@@ -66,9 +71,8 @@ class AmplitudeTable:
             np.add(np.square(c[..., i, :].real, out=real),
                    np.square(c[..., i, :].imag, out=imag), out=real)
             np.add.reduce(real, axis=-1, out=populations[i, ...])
-        pairs = ((0, 2, m), (1, 3, m), (0, 1, m), (2, 3, m), (0, 3, 2 * m),
-                 (1, 2, 0))
-        for k, (i, j, shift) in enumerate(pairs):
+        for k, (i, j, shift) in enumerate(_PAIRS):
+            shift *= m
             n = c.shape[-1] - shift
             conj, product = _scratch(work, c.shape[:-2] + (n,), 2)
             # Not in place: an output aliasing an input moves numpy's
@@ -76,6 +80,12 @@ class AmplitudeTable:
             np.multiply(c[..., i, shift:], np.conj(c[..., j, :n], out=conj),
                         out=product)
             np.add.reduce(product, axis=-1, out=correlations[k, ...])
+        for sums, forms in zip((populations, correlations), self.tail or ()):
+            for k, form in enumerate(forms):
+                sums[k, ...] += self._tail_sum(form)
+
+    def _tail_sum(self, form: np.ndarray) -> np.ndarray:
+        return np.vecdot(self.reals, np.vecdot(self.reals[..., None, :], form))
 
     @functools.cached_property
     def _reduction(self) -> Reduction:
@@ -90,7 +100,8 @@ class AmplitudeTable:
     @property
     def total_weight(self) -> float:
         c = np.ascontiguousarray(self.c)
-        return np.sum(c.real**2 + c.imag**2, axis=(-2, -1))
+        return np.sum(c.real**2 + c.imag**2, axis=(-2, -1)) + sum(
+            map(self._tail_sum, self.tail[0] if self.tail else ()))
 
 
 @functools.lru_cache(maxsize=128)
@@ -121,14 +132,15 @@ def _scratch(work: np.ndarray, shape: tuple, count: int, dtype=complex):
 
 
 Factors = collections.namedtuple(
-    "Factors", "head mu frozen mu_safe two_mu_safe w_nm i_drive edges")
+    "Factors", "head mu frozen mu_safe two_mu_safe w_nm i_drive edges tail")
 
 
 def kernel_factors(atoms: AtomicInitialState, field: FieldSpec,
                    spec: HamiltonianSpec) -> Factors:
     """The time-invariant rows over n of one q's kernel.  head starts the
     trailing run of bit-equal rates mu ([n]_q = 1/(1-q) in doubles; the
-    cutoff at q = 1); mu, frozen, mu_safe and 2 mu_safe end at head."""
+    cutoff at q = 1); mu, frozen, mu_safe and 2 mu_safe end at head, the
+    complex rows at X = min(cutoff, head + 2m) and tail sums the rest."""
     a1, a2, a3, a4 = atoms.amplitudes
     # Coherent weights W_{n+2m}, W_{n+m}, W_n for n = -2m..cutoff-2m; a
     # weight at a negative photon number is zero.
@@ -137,31 +149,55 @@ def kernel_factors(atoms: AtomicInitialState, field: FieldSpec,
     w_n = np.concatenate([np.zeros(2 * spec.m), w_n2m[:-2 * spec.m]])
     nu1, nu2, mu = _cached_couplings(field.cutoff, spec.m, spec.q)
     head = int(np.max(np.flatnonzero(mu != mu[-1]), initial=-1)) + 1
+    last = min(field.cutoff, head + 2 * spec.m)
     mu = mu[:head + 1]
     frozen = mu == 0.0
     mu_safe = np.where(frozen, 1.0, mu)
     drive = a1 * nu1 * w_n + a4 * nu2 * w_n2m
-    edges = tuple((a * w, nu * drive, 1j * nu * (a2 + a3) * w_nm)
-                  for a, nu, w in ((a1, nu1, w_n), (a4, nu2, w_n2m)))
-    return Factors(head, mu, frozen, mu_safe, 2.0 * mu_safe, w_nm, 1j * drive,
-                   edges)
+    # Each edge's (a w, nu drive, i nu (a2 + a3) w_nm), then i drive, w_nm.
+    rows = [row for a, nu, w in ((a1, nu1, w_n), (a4, nu2, w_n2m))
+            for row in (a * w, nu * drive, 1j * nu * (a2 + a3) * w_nm)] + [1j * drive, w_nm]
+    tail = _tail_forms(rows, last, spec.m, a2, a3) if last < field.cutoff else None
+    rows = [row[:last + 1] for row in rows]
+    return Factors(head, mu, frozen, mu_safe, 2.0 * mu_safe, rows[7], rows[6],
+                   (rows[:3], rows[3:6]), tail)
+
+
+def _tail_forms(rows: list, last: int, m: int, a2, a3) -> tuple:
+    """Past X = last, c^(i+1)[n] = K_i[n] R for K_i = coef_i rows and R =
+    (1, half_rabi, cos^2, sin^2, swap) at head, as at each n - shift > head:
+    gram_i = Re sum_n conj(K_i) K_i^T, cross_k = sum_n K_i conj(K_j[n - shift])^T."""
+    coef = np.zeros((4, 5, 8), complex)
+    for i, v in ((0, 0), (3, 3)):  # (a w, -i nu (a2 + a3) w_nm, 0, 0, -nu drive)
+        coef[i, (0, 1, 4), (v, v + 2, v + 1)] = 1, -1, -1
+    coef[1:3, 1, 6] = -1  # (0, -i drive, a w_nm, -b w_nm, 0), (a, b) = (a2, a3)
+    coef[1:3, 2:4, 7] = (a2, -a3), (a3, -a2)
+    # products[s][v, u] = sum over the tail of rows[v][n] conj(rows[u][n - sm])
+    reads = [np.flatnonzero(k.any(0)) for k in coef]
+    end, products = rows[0].size, np.zeros((3, 8, 8), complex)
+    for i, j, s in _PAIRS + tuple((i, i, 0) for i in range(4)):
+        for v, u in itertools.product(reads[i], reads[j]):
+            products[s, v, u] = np.vdot(rows[u][last + 1 - s * m:end - s * m],
+                                        rows[v][last + 1:])
+    return ((coef @ products[0] @ coef.conj().mT).real, np.stack(
+        [coef[i] @ products[s] @ coef[j].conj().T for i, j, s in _PAIRS]))
 
 
 def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
                     spec: HamiltonianSpec, *, out=None, work=None,
                     factors=None) -> AmplitudeTable:
-    """All manifold amplitudes at time t, or at each time of a 1-D array.
-    The table is a view, with each of its four rows contiguous, of the
-    front of out (C-contiguous complex memory of at least its size) or of
-    fresh memory; work is a workspace and factors kernel_factors(atoms,
-    field, spec), each formed here when None."""
+    """All manifold amplitudes at time t, or at each time of a 1-D array,
+    on the explicit columns.  The table is a view, with each of its four
+    rows contiguous, of the front of out (C-contiguous complex memory of
+    at least its size) or of fresh memory; work is a workspace and factors
+    kernel_factors(atoms, field, spec), each formed here when None."""
     if field.cutoff < 2 * spec.m:
         raise ConfigurationError(
             f"cutoff {field.cutoff} below one manifold span 2m = {2 * spec.m}")
     (head, mu, frozen, mu_safe, two_mu_safe, w_nm, i_drive,
-     edges) = factors or kernel_factors(atoms, field, spec)
+     edges, tail) = factors or kernel_factors(atoms, field, spec)
     _, a2, a3, _ = atoms.amplitudes
-    shape = np.shape(t) + (field.cutoff + 1,)  # one row
+    shape = np.shape(t) + (w_nm.size,)  # one row
     size = 4 * math.prod(shape)
     rows = (np.empty(size, complex) if out is None else
             np.reshape(out, -1, copy=False)[:size]).reshape((4,) + shape)
@@ -177,7 +213,7 @@ def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
         rows[k].view(float).reshape((2,) + shape) for k in (0, 1, 3))
 
     # The four reals depend on n only through mu: computed on [0, head],
-    # column head is copied across the tail (equal inputs, equal bits).
+    # column head is copied up to X (equal inputs, equal bits).
     # Frozen manifolds have sin(2 mu t)/(2 mu) -> t, and swap 0, not t^2
     # (which overflows): it only multiplies vanishing couplings.  Where
     # mu > 0, mu_safe is mu, so swap and sin_sq share one sin(mu t).
@@ -193,6 +229,8 @@ def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
     np.square(sin_sq[cut], out=sin_sq[cut])
     for real in (half_rabi, cos_sq, sin_sq, swap):
         real[..., head + 1:] = real[..., head, None]
+    reals = None if tail is None else np.stack([np.ones(shape[:-1]), *(
+        real[..., head] for real in (half_rabi, cos_sq, sin_sq, swap))], -1)
 
     # Rows 1 and 2 come first, while rows 0 and 3 still hold the reals.
     np.multiply(i_drive, half_rabi, out=mixing)
@@ -204,7 +242,7 @@ def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
         np.subtract(a_w, np.multiply(nu_drive, swap, out=product), out=product)
         np.multiply(i_nu_w, half_rabi, out=mixing)
         np.subtract(product, mixing, out=rows[k])
-    return AmplitudeTable(spec.m, rows.swapaxes(0, -2))
+    return AmplitudeTable(spec.m, rows.swapaxes(0, -2), reals, tail)
 
 
 def evolved_bloch(t, atoms: AtomicInitialState, field: FieldSpec,

@@ -2,10 +2,10 @@
 checked SweepConfig, and sweep(), which walks its time grid per q value
 in blocks of times (algebra.time_chunks) through one engine or both.
 SweepConfig holds only values a run reads; its checks reject every
-out-of-range or non-finite value and every t_max whose largest phase
-overflows, before a caller writes anything.  The engines work in units
-of 1/lambda: they see the couplings over lambda and evolve to lambda*t,
-so lambda moves no data row and is only echoed in the CSV header.
+out-of-range or non-finite value, m whose ladder overflows and t_max
+whose largest phase overflows, before any output.  The engines work in
+units of 1/lambda: they see the couplings over lambda and evolve to
+lambda*t, so lambda moves no data row and is only echoed in the CSV header.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -36,8 +36,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.engine not in ("closed", "exact", "both"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.steps < 2:
-            raise ValueError("steps must be at least 2")
+        if not 2 <= self.steps <= 10**8:  # the grid takes 8 bytes a step
+            raise ValueError(f"steps must lie in [2, 1e8], got {self.steps}")
         if not 0 < self.t_max < np.inf:
             raise ValueError("t_max must be finite and positive")
         if not 0 < self.lam < np.inf:
@@ -55,10 +55,13 @@ class SweepConfig:
             "unknown-qubit", (self.alpha, self.beta))))
 
     def _check_phases(self):
-        """Reject a t_max whose largest phase, 2 mu t or 2 t in the closed
-        kernel and +-2 mu t in the exact engine, is not finite."""
-        largest = max(float(np.max(closedform._cached_couplings(
-            self._field.cutoff, self.m, q)[2])) for q in self.q_values)
+        """Reject an m whose couplings overflow, and a t_max whose largest
+        phase (2 mu t or 2 t closed, +-2 mu t exact) is not finite."""
+        with np.errstate(over="ignore"):
+            largest = max(float(np.max(closedform._cached_couplings(
+                self._field.cutoff, self.m, q)[2])) for q in self.q_values)
+        if not np.isfinite(largest):
+            raise ValueError(f"m = {self.m} overflows the ladder's couplings")
         phase = 2.0 * max(largest, 1.0) * self.t_max
         if not np.isfinite(phase):
             raise ValueError(
@@ -109,45 +112,49 @@ def sweep(config: SweepConfig):
     """Yield (q, times, bloch, reduced) per q value and block of
     CHUNK_CELLS // 16 times: the closed-form Bloch stack (None under engine
     "exact") and the exact engine's reduced atomic states (None under
-    engine "closed").  Inside a block both engines run in kernel chunks of
-    CHUNK_CELLS // (cutoff + 1) times, writing their amplitudes into one
-    buffer per sweep, with what time does not change formed once per q
-    (kernel_factors, Propagator.coefficients).  The closed form works in
-    one workspace per sweep and reduces each chunk into the block's rows,
+    engine "closed").  Inside a block the engines run in kernel chunks of
+    CHUNK_CELLS // width times (X + 1 closed, cutoff + 1 exact), writing
+    their amplitudes into one buffer per sweep, with what time does not
+    change formed once per q (kernel_factors, Propagator.coefficients)
+    and dropped after its last block.  The closed form works in one
+    workspace per sweep and reduces each chunk into the block's rows,
     read once per block; the exact engine's reduced 4x4 states are joined."""
     field = config.field()
     atoms = config.atomic_state()
-    width = field.cutoff + 1
+    full = field.cutoff + 1
     closed = config.engine in ("closed", "both")
     propagate = config.engine in ("exact", "both")
     initial = exact.initial_composite_state(atoms, field) if propagate else None
-    blocks = [(block, algebra.time_chunks(block, width)) for block in
-              algebra.time_chunks(config.time_grid, _MATRIX_CELLS)]
-    # The first chunk of the first block is the longest of the sweep.
-    buffer = np.empty((len(blocks[0][1][0]), 4, width), dtype=complex)
-    work = closedform.workspace(len(buffer), width) if closed else None
+    blocks = algebra.time_chunks(config.time_grid, _MATRIX_CELLS)
+    # The widest chunk: CHUNK_CELLS cells or one row, within the first block.
+    cells = min(max(algebra.CHUNK_CELLS, full), len(blocks[0]) * full)
+    buffer = np.empty(4 * cells, dtype=complex)
+    work = closedform.workspace(1, cells) if closed else None
     for q in config.q_values:
         spec = config.hamiltonian(q)
         propagator = exact.Propagator(spec, field.cutoff) if propagate else None
         factors = closedform.kernel_factors(atoms, field, spec) if closed else None
         coefficients = propagator.coefficients(initial) if propagate else None
-        for block, chunks in blocks:
+        for block in blocks:
             bloch = None
             if closed:
                 sums = closedform.Reduction(
                     np.empty((4, len(block))), np.empty((6, len(block)), complex))
                 start = 0
-                for times in chunks:
+                for times in algebra.time_chunks(block, factors.w_nm.size):
                     closedform.amplitude_table(
-                        times, atoms, field, spec, out=buffer[:len(times)],
-                        work=work, factors=factors).reduce_into(
+                        times, atoms, field, spec, out=buffer, work=work,
+                        factors=factors).reduce_into(
                             *(s[:, start:start + len(times)] for s in sums), work)
                     start += len(times)
                 bloch = closedform.bloch_from_table(sums)
-            reduced = _join_states([exact.reduced_atomic_state(
-                propagator.evolve(initial, times, out=buffer[:len(times)],
-                                  coefficients=coefficients))
-                for times in chunks]) if propagate else None
+                del sums
+            reduced = _join_states([exact.reduced_atomic_state(propagator.evolve(
+                initial, times, out=buffer[:4 * full * len(times)].reshape(
+                    -1, 4, full), coefficients=coefficients))
+                for times in algebra.time_chunks(block, full)]) if propagate else None
+            if block is blocks[-1]:
+                propagator = factors = coefficients = None
             yield q, block, bloch, reduced
 
 

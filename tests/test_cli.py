@@ -1,5 +1,7 @@
 import io
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -459,28 +461,39 @@ class TestTimeChunks:
         per_time = 4 if argv[0] == "teleport" else 1
         assert len(rows) == 2 * 23 * per_time
 
+    # Cutoff 627 at q = 0.5 and 0.9: the closed form computes X + 1 = 57
+    # and 343 columns (head 54 and 340), in kernel chunks of 71 and 11
+    # times; the exact engine takes all 628, in chunks of 6 times.  A chunk
+    # holds at most CHUNK_CELLS cells, which size the sweep's buffer and
+    # workspace.
+    WIDEST = algebra.CHUNK_CELLS
+    CLOSED_CHUNKS = [71] * 3 + [43, 45] + [11] * 23 + [3] + [11] * 4 + [1]
+
     def test_blocks_share_one_table_buffer(self, monkeypatch):
-        # Cutoff 627: 256-time blocks of 6-time kernel chunks.
-        buffers = []
+        # 256 = 3 * 71 + 43 and 45 times per block at q = 0.5, and
+        # 256 = 23 * 11 + 3 and 45 = 4 * 11 + 1 at q = 0.9.
+        buffers, shapes = [], []
         table = closedform.amplitude_table
 
         def recording(*args, out, work, factors):
             buffers.append(out)
-            return table(*args, out=out, work=work, factors=factors)
+            result = table(*args, out=out, work=work, factors=factors)
+            assert np.shares_memory(result.c, out)
+            shapes.append(result.c.shape)
+            return result
 
         monkeypatch.setattr(closedform, "amplitude_table", recording)
         config = SweepConfig(q_values=(0.5, 0.9), nbar=400.0, steps=301)
         assert [len(times) for _, times, _, _ in sweep(config)] == \
             [256, 45] * 2
-        # 256 = 42 * 6 + 4 and 45 = 7 * 6 + 3 times per block.
-        assert [len(out) for out in buffers] == \
-            ([6] * 42 + [4] + [6] * 7 + [3]) * 2
-        assert all(out.base is buffers[0].base for out in buffers)
-        assert buffers[0].base.shape == (6, 4, 628)
+        assert [shape[0] for shape in shapes] == self.CLOSED_CHUNKS
+        assert [shape[-1] for shape in shapes] == [57] * 5 + [343] * 29
+        assert all(out is buffers[0] for out in buffers)
+        assert buffers[0].shape == (4 * self.WIDEST,)
 
     def test_chunks_share_one_workspace_per_sweep(self, monkeypatch):
-        # Cutoff 627: every kernel chunk and its reduction work in one
-        # (2 * 6, 628) workspace, a fresh one per sweep, never the table's.
+        # Every kernel chunk and its reduction work in one (2, CHUNK_CELLS)
+        # workspace, a fresh one per sweep, never the table's.
         works, tables = [], []
         table, reduce_into = (closedform.amplitude_table,
                               closedform.AmplitudeTable.reduce_into)
@@ -500,17 +513,17 @@ class TestTimeChunks:
         for _ in range(2):
             assert [len(times) for _, times, _, _ in sweep(config)] == \
                 [256, 45] * 2
-        per_sweep = 2 * 2 * (42 + 1 + 7 + 1)
+        per_sweep = 2 * len(self.CLOSED_CHUNKS)
         assert len(works) == 2 * per_sweep
         first, second = works[0], works[per_sweep]
         assert all(work is first for work in works[:per_sweep])
         assert all(work is second for work in works[per_sweep:])
-        assert second is not first and first.shape == (2 * 6, 628)
+        assert second is not first and first.shape == (2, self.WIDEST)
         assert not any(np.shares_memory(first, out) for out in tables)
 
     def test_sweep_forms_each_q_factors_once(self, monkeypatch):
-        # Cutoff 627: the time-invariant rows of each q are formed once and
-        # read by all 51 of its kernel chunks, not formed per chunk.
+        # The time-invariant rows of each q are formed once and read by all
+        # of its kernel chunks (5 at q = 0.5, 29 at q = 0.9), not per chunk.
         formed, read = [], []
         form, table = closedform.kernel_factors, closedform.amplitude_table
 
@@ -527,19 +540,16 @@ class TestTimeChunks:
         config = SweepConfig(q_values=(0.5, 0.9), nbar=400.0, steps=301)
         assert [len(times) for _, times, _, _ in sweep(config)] == \
             [256, 45] * 2
-        assert len(formed) == 2 and len(read) == 2 * 51
-        assert all(factors is formed[0] for factors in read[:51])
-        assert all(factors is formed[1] for factors in read[51:])
+        assert len(formed) == 2 and len(read) == 5 + 29
+        assert all(factors is formed[0] for factors in read[:5])
+        assert all(factors is formed[1] for factors in read[5:])
 
     def test_sweep_keeps_no_factors(self):
         # The rows belong to the sweep, like its buffer and workspace:
-        # nothing of them outlives it (a cache of both q's rows would
-        # keep about 150 KB).
+        # nothing of them outlives it (a cache of both q's rows and tail
+        # forms would keep more than one 10 KB cutoff row).
         config = SweepConfig(q_values=(0.5, 0.9), nbar=400.0, steps=301)
-        factors = closedform.kernel_factors(
-            config.atomic_state(), config.field(), config.hamiltonian(0.5))
-        row_bytes = factors.i_drive.nbytes
-        del factors
+        row_bytes = 16 * (config.field().cutoff + 1)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -551,15 +561,28 @@ class TestTimeChunks:
             tracemalloc.stop()
         assert kept < row_bytes
 
+    @pytest.mark.parametrize("engine", ["closed", "exact", "both"])
+    def test_sweep_holds_no_rows_across_the_last_yield(self, engine):
+        # While the caller formats a block, the sweep holds no block sums,
+        # and after a q's last block neither its rows nor its projection.
+        config = SweepConfig(engine=engine, q_values=(0.5, 0.9), nbar=400.0,
+                             steps=301)
+        blocks = sweep(config)
+        for index, _ in enumerate(blocks):
+            held = blocks.gi_frame.f_locals
+            assert "sums" not in held
+            last = index % 2 == 1
+            assert (held["factors"] is None) == (last or engine == "exact")
+            assert (held["coefficients"] is None) == (last or engine == "closed")
+
     def test_sweep_takes_no_chunk_table_after_first_block(self):
-        # Cutoff 627, 6-time chunks.  Building c.real**2 + c.imag**2 per
-        # chunk (three 6 x 4 x 628 real arrays) rose by about 480 KB past
-        # the first block.  numpy's buffered iterator still takes two
-        # complex chunk-sized buffers (about 140 KB in all) for a ufunc that
-        # broadcasts and casts, so the bound is one chunk's table, not one
-        # chunk row.
+        # Building c.real**2 + c.imag**2 per chunk (three real arrays of a
+        # chunk's table) rose by about 480 KB past the first block.  numpy's
+        # buffered iterator still takes two complex chunk-sized buffers for
+        # a ufunc that broadcasts and casts, so the bound is the widest
+        # chunk's table, 4 x CHUNK_CELLS cells, not one chunk row.
         config = SweepConfig(q_values=(0.5, 0.9), nbar=400.0, steps=301)
-        table_bytes = 6 * 4 * 628 * 16
+        table_bytes = 4 * self.WIDEST * 16
         blocks = sweep(config)
         tracemalloc.start()
         try:
@@ -575,8 +598,9 @@ class TestTimeChunks:
 
     @pytest.mark.parametrize("engine", ["exact", "both"])
     def test_blocks_share_one_state_buffer(self, engine, monkeypatch):
-        # Cutoff 627: 256-time blocks of 6-time kernel chunks, each q's
-        # initial state projected on its eigenvectors once.
+        # Cutoff 627: 256-time blocks of 6-time exact chunks, each q's
+        # initial state projected on its eigenvectors once, all in the one
+        # buffer of 4 x CHUNK_CELLS cells.
         buffers, projections = [], []
         evolve = exact.Propagator.evolve
 
@@ -593,7 +617,7 @@ class TestTimeChunks:
         assert [len(out) for out in buffers] == \
             ([6] * 42 + [4] + [6] * 7 + [3]) * 2
         assert all(out.base is buffers[0].base for out in buffers)
-        assert buffers[0].base.shape == (6, 4, 628)
+        assert buffers[0].base.shape == (4 * self.WIDEST,)
         assert all(c is projections[0] for c in projections[:51])
         assert all(c is projections[51] for c in projections[51:])
 
@@ -612,6 +636,20 @@ class TestTimeChunks:
         monkeypatch.setattr(algebra, "CHUNK_CELLS", 10)
         assert [len(c) for c in algebra.time_chunks(times, 60)] == [1] * 23
         assert [len(b) for b in algebra.time_chunks(times, 16)] == [1] * 23
+
+
+class TestLargeNbar:
+    def test_both_engines_agree_at_nbar_50000(self, capsys):
+        # Cutoff 52,395: the closed form computes 57 and 343 explicit
+        # columns and sums the rest of each q's saturated tail in closed
+        # form; the exact engine evolves every manifold.
+        code, out, _ = run_cli(["simulate", "--engine", "both", "--nbar",
+                                "50000", "--steps", "5", "--q", "0.5", "--q",
+                                "0.9"], capsys)
+        assert code == 0 and "# cutoff=52395" in out
+        _, rows = csv_rows(out)
+        assert len(rows) == 10
+        assert max(float(row["max_dev"]) for row in rows) <= 1e-9
 
 
 class TestBadConfigWritesNothing:
@@ -643,6 +681,29 @@ class TestBadConfigWritesNothing:
         code, out, _ = run_cli(argv + ["--out", str(path)], capsys)
         assert code == 2 and out == ""
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv,cause", [
+        (["simulate", "--steps", "1000000000000"], "steps must lie in"),
+        (["simulate", "--m", "200", "--nbar", "10", "--steps", "3"],
+         "m = 200 overflows the ladder"),
+    ], ids=["grid-beyond-ceiling", "ladder-overflow"])
+    def test_oversized_input_exits_before_any_allocation(self, argv, cause,
+                                                         capsys):
+        # Rejected by SweepConfig before the grid or the header: the grid
+        # of 10**12 steps would take 8 TB, and 200 q-numbers overflow their
+        # product, which used to leak a RuntimeWarning and blame t_max.
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert cause in err and "t_max" not in err
+        assert peak < 2**20
+        assert threading.active_count() == 1
 
     def test_missing_out_directory_exits_cleanly(self, tmp_path, capsys):
         path = tmp_path / "missing-dir" / "x.csv"

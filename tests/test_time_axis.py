@@ -35,6 +35,7 @@ from qdcavity import (
 )
 from qdcavity.states import max_deviation
 from conftest import random_density, random_ket
+from test_closedform import explicit_last
 
 REAL_KET = UnknownQubit(alpha=1.0 / np.sqrt(2.0), beta=1.0 / np.sqrt(2.0))
 
@@ -122,7 +123,12 @@ class TestClosedForm:
     def test_scalar_time_keeps_unstacked_shapes(self, closed_sweep):
         _, atoms, field, spec = closed_sweep
         table = amplitude_table(1.5, atoms, field, spec)
-        assert table.c.shape == (4, field.cutoff + 1)
+        # The explicit columns [0, X]: all 60 at cutoff 59, 343 of 628 at
+        # cutoff 627, whose tail reads the reals at column head.
+        last = explicit_last(field, spec)
+        assert table.c.shape == (4, last + 1) and last in (59, 342)
+        assert (table.reals is None) == (last == field.cutoff)
+        assert last == field.cutoff or table.reals.shape == (5,)
         assert isinstance(table.total_weight, float)
         assert all(isinstance(c, complex) for c in table.correlations)
         bloch = evolved_bloch(1.5, atoms, field, spec)
