@@ -47,6 +47,7 @@ from .teleport import (
     TeleportOutcome,
     UnknownQubit,
     average_fidelity,
+    branch_map,
     circuit_teleport,
     closed_form_bob,
     compare_bob_conventions,
@@ -73,6 +74,7 @@ __all__ = [
     "average_fidelity",
     "bloch_from_table",
     "bloch_vector",
+    "branch_map",
     "check_deformation",
     "choose_cutoff",
     "circuit_teleport",

@@ -2,7 +2,12 @@
 cross-validation report, all emitted as deterministic CSV/plain text.
 `simulate` and `teleport` resolve their flags, --config file and --fig
 preset into one sweep.SweepConfig and format the rows of sweep.sweep;
-`validate` prints the report of validate.run_all_checks.
+`validate` prints the report of validate.run_all_checks.  `teleport`
+computes its columns with teleport.branch_map, the affine map of each
+block's Bloch states (the exact engine's reduced states decomposed), and
+runs the gate-level circuit once, for the header's ideal-channel
+self-test.  A rejected input, or a time grid the host cannot hold, exits
+2 before any output.
 
 Times are always reported as lambda * t (dimensionless): the engines
 work in units of 1/lambda, so lambda moves no data row and only the
@@ -18,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, states, teleport
+from .exact import _EIGENVALUE_FLOOR
 from .sweep import SweepConfig, sweep
 from .validate import ideal_channel_shortfall, run_all_checks
 
@@ -163,6 +169,15 @@ def _report_positivity(warnings: list[str]) -> None:
               f"{warnings[0]}", file=sys.stderr)
 
 
+def _receiver_warnings(sb) -> list[str]:
+    """The positivity warnings of the receiver states (1 + sb . sigma)/2,
+    branch by branch, as DensityMatrix.from_matrix words them: a qubit
+    state's smaller eigenvalue is (1 - |sb|)/2."""
+    smaller = (1.0 - np.sqrt(np.linalg.vecdot(sb, sb))) / 2.0
+    return [f"negative eigenvalue {value:.3e} below floor"
+            for value in smaller.T[smaller.T < _EIGENVALUE_FLOOR]]
+
+
 def cmd_simulate(config: SweepConfig, stream) -> int:
     columns = SIMULATE_COLUMNS + (("max_dev",) if config.engine == "both" else ())
     for line in _provenance(config, "simulate"):
@@ -200,38 +215,37 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
           "receiver vector (2 * probability * sb on every branch)",
           file=stream)
     shortfall = ideal_channel_shortfall(
-        [teleport.UnknownQubit.from_bloch((1.0, 0.0, 0.0))])
+        teleport.UnknownQubit.from_bloch((1.0, 0.0, 0.0)))
     print(f"# self-test: ideal channel worst fidelity shortfall "
           f"{shortfall:.3e} {'PASS' if shortfall < 1e-10 else 'FAIL'}",
           file=stream)
     columns = TELEPORT_COLUMNS + (("max_dev",) if config.engine == "both" else ())
     print(",".join(columns), file=stream)
     warnings = []
+    count = len(teleport.OUTCOME_LABELS)
     for q, times, bloch, reduced in sweep(config):
         channel = reduced if bloch is None else states.compose(bloch)
-        outcomes = teleport.circuit_teleport(channel, unknown)
-        f_avg = teleport.average_fidelity(outcomes, unknown)
-        exact_outcomes = (teleport.circuit_teleport(reduced, unknown)
-                          if config.engine == "both" else None)
         warnings.extend(channel.warnings)
-        branches = []
-        for index, outcome in enumerate(outcomes):
-            warnings.extend(outcome.bob_state.warnings)
-            sb_weighted = 2.0 * outcome.probability[..., None] * outcome.sb
-            values = [
-                outcome.probability, teleport.fidelity_paper(su, sb_weighted),
-                teleport.fidelity_overlap(unknown, outcome.bob_state), f_avg,
-            ]
-            if exact_outcomes is not None:
-                values.append(np.max(np.abs(
-                    outcome.sb - exact_outcomes[index].sb), axis=-1))
-            branches.append(np.column_stack(values))
+        exact_bloch = None if reduced is None else states.decompose(reduced)
+        probability, sb = teleport.branch_map(
+            exact_bloch if bloch is None else bloch, su)
+        warnings.extend(_receiver_warnings(sb))
+        overlap = (1.0 + np.linalg.vecdot(sb, su)) / 2.0
+        values = [
+            probability,
+            teleport.fidelity_paper(su, 2.0 * probability[..., None] * sb),
+            overlap,
+            np.broadcast_to(teleport.average_fidelity(probability, overlap)
+                            [..., None], probability.shape),
+        ]
+        if config.engine == "both":
+            values.append(np.max(np.abs(
+                sb - teleport.branch_map(exact_bloch, su)[1]), axis=-1))
         # Rows run time-major: the four branches of one time, then the next.
-        count = len(teleport.OUTCOME_LABELS)
         leads = format_rows([np.repeat(times, count),
                              np.full(count * len(times), q)])
-        cells = format_rows(
-            [np.stack(branches, axis=1).reshape(count * len(times), -1)])
+        cells = format_rows([np.stack(values, axis=-1).reshape(
+            count * len(times), -1)])
         print("\n".join(f"{lead},{label},{rest}" for lead, label, rest in zip(
             leads, teleport.OUTCOME_LABELS * len(times), cells)), file=stream)
     _report_positivity(warnings)
@@ -298,7 +312,8 @@ def main(argv=None) -> int:
         return cmd_validate(sys.stdout)
     runner = cmd_simulate if args.command == "simulate" else cmd_teleport
     # ConfigurationError is a ValueError too; OSError covers a missing
-    # --config file or --out directory.
+    # --config file or --out directory, and MemoryError a time grid the
+    # host cannot hold, which SweepConfig builds before any output.
     try:
         config = _resolve(args, args.command)
         for warning in config.warnings:
@@ -307,7 +322,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", newline="\n") as handle:
                 return runner(config, handle)
         return runner(config, sys.stdout)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,10 @@ checked SweepConfig, and sweep(), which walks its time grid per q value
 in blocks of times (algebra.time_chunks) through one engine or both.
 SweepConfig holds only values a run reads; its checks reject every
 out-of-range or non-finite value, m whose ladder overflows and t_max
-whose largest phase overflows, before any output.  The engines work in
-units of 1/lambda: they see the couplings over lambda and evolve to
-lambda*t, so lambda moves no data row and is only echoed in the CSV header.
+whose largest phase overflows, and it builds the time grid, all before
+any output.  The engines work in units of 1/lambda: they see the
+couplings over lambda and evolve to lambda*t, so lambda moves no data row
+and is only echoed in the CSV header.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -53,6 +54,10 @@ class SweepConfig:
         self._check_phases()
         self._unknown = teleport.UnknownQubit(*map(complex, self._normalised(
             "unknown-qubit", (self.alpha, self.beta))))
+        # Last, after every check and before any output: a grid the host
+        # cannot hold raises MemoryError here, which the CLI maps to exit 2.
+        self._time_grid = np.linspace(0.0, self.t_max, self.steps)
+        self._time_grid.flags.writeable = False
 
     def _check_phases(self):
         """Reject an m whose couplings overflow, and a t_max whose largest
@@ -86,9 +91,9 @@ class SweepConfig:
 
     @property
     def time_grid(self) -> np.ndarray:
-        """The grid of lambda*t, [0, t_max]: the engines' time in units
-        of 1/lambda."""
-        return np.linspace(0.0, self.t_max, self.steps)
+        """The grid of lambda*t, [0, t_max], built once and read-only:
+        the engines' time in units of 1/lambda."""
+        return self._time_grid
 
     def atomic_state(self) -> exact.AtomicInitialState:
         return exact.AtomicInitialState(*self.atoms)

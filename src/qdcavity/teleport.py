@@ -1,13 +1,17 @@
 """Single-qubit teleportation over a generated two-atom channel.
 
-Two independent routes are provided: a gate-level density-matrix
-simulation of the protocol (CNOT, Hadamard, projective measurement,
-conditional Pauli correction) and a closed-form expression for Bob's
-Bloch vector on the ee branch built directly from the manifold
-amplitudes of the channel.  The closed form tracks the branch operator
-scaled by twice its probability; which scaling reproduces the circuit is
-established by compare_bob_conventions rather than assumed.  A stack of
-channels runs through at once, adding its leading axes to every result.
+Three routes are provided.  branch_map gives each measurement branch's
+probability and receiver Bloch vector as an affine map of the channel's
+Bloch vectors and cross dyadic; the CLI computes its columns with it.
+circuit_teleport is a gate-level density-matrix simulation of the
+protocol (CNOT, Hadamard, projective measurement, conditional Pauli
+correction): the independent oracle that the CLI header's self-test and
+`validate` run.  closed_form_bob assembles the receiver vector on the ee
+branch directly from the manifold amplitudes of the channel; it tracks
+the branch operator scaled by twice its probability, which
+compare_bob_conventions establishes rather than assumes.  A stack of
+channels, and a stack of inputs, runs through at once, adding its
+leading axes to every result.
 """
 
 from dataclasses import dataclass
@@ -16,13 +20,14 @@ import numpy as np
 
 from .closedform import AmplitudeTable
 from .exact import DensityMatrix, PhysicalityError, as_matrix
-from .states import PAULI_X, PAULI_Z, bloch_vector
+from .states import PAULI_X, PAULI_Z, TwoQubitBlochState, bloch_vector
 
 __all__ = [
     "OUTCOME_LABELS",
     "TeleportOutcome",
     "UnknownQubit",
     "average_fidelity",
+    "branch_map",
     "circuit_teleport",
     "closed_form_bob",
     "compare_bob_conventions",
@@ -47,28 +52,38 @@ _CORRECTIONS = {
 
 @dataclass(frozen=True)
 class UnknownQubit:
-    """Pure input state alpha|e> + beta|g> handed to the sender."""
+    """Pure input state alpha|e> + beta|g> handed to the sender; alpha
+    and beta may be equal-shaped arrays, a stack of inputs."""
 
     alpha: complex
     beta: complex
 
     def __post_init__(self):
-        norm_sq = float(abs(self.alpha) ** 2 + abs(self.beta) ** 2)
-        if not abs(norm_sq - 1.0) <= 1e-12:
-            raise ValueError(f"input not normalised, |alpha|^2+|beta|^2={norm_sq!r}")
+        norm_sq = np.ravel(np.abs(self.alpha) ** 2 + np.abs(self.beta) ** 2)
+        off = norm_sq[~(np.abs(norm_sq - 1.0) <= 1e-12)]
+        if off.size:
+            raise ValueError(
+                f"input not normalised, |alpha|^2+|beta|^2={float(off[0])!r}")
+
+    @property
+    def ket(self) -> np.ndarray:
+        """(alpha, beta) on the last axis."""
+        return np.stack([np.asarray(self.alpha, dtype=complex),
+                         np.asarray(self.beta, dtype=complex)], axis=-1)
 
     @property
     def density(self) -> np.ndarray:
-        ket = np.array([self.alpha, self.beta], dtype=complex)
-        return np.outer(ket, ket.conj())
+        ket = self.ket
+        return ket[..., :, None] * ket.conj()[..., None, :]
 
     @property
     def su(self) -> np.ndarray:
         """Bloch vector of the input: (2 Re(alpha beta*),
         2 Im(alpha beta*), |alpha|^2 - |beta|^2)."""
-        z = complex(self.alpha) * np.conj(complex(self.beta))
-        return np.array([2.0 * z.real, 2.0 * z.imag,
-                         abs(self.alpha) ** 2 - abs(self.beta) ** 2])
+        alpha, beta = self.ket[..., 0], self.ket[..., 1]
+        z = alpha * np.conj(beta)
+        return np.stack([2.0 * z.real, 2.0 * z.imag,
+                         np.abs(alpha) ** 2 - np.abs(beta) ** 2], axis=-1)
 
     @classmethod
     def from_bloch(cls, su) -> "UnknownQubit":
@@ -111,14 +126,18 @@ def circuit_teleport(channel, unknown: UnknownQubit) -> list[TeleportOutcome]:
     measurement of (u, A) in the energy basis, then the branch's Pauli
     correction on B.  Returns all four branches; branch states are
     normalised.  A branch of zero probability carries the maximally
-    mixed state."""
+    mixed state.  Stacks of channels and of inputs broadcast."""
     rho_chan = as_matrix(channel)
     if rho_chan.shape[-2:] != (4, 4):
         raise PhysicalityError(f"channel must be 4x4, got {rho_chan.shape}")
     if not isinstance(channel, DensityMatrix):
         DensityMatrix.from_matrix(rho_chan)
 
-    rho = _UNITARY @ np.kron(unknown.density, rho_chan) @ _UNITARY.conj().T
+    # np.kron's products, broadcast over the stack axes.
+    joint = (unknown.density[..., :, None, :, None]
+             * rho_chan[..., None, :, None, :])
+    rho = _UNITARY @ joint.reshape(joint.shape[:-4] + (8, 8)) \
+        @ _UNITARY.conj().T
 
     outcomes = []
     for index, label in enumerate(OUTCOME_LABELS):
@@ -139,6 +158,34 @@ def circuit_teleport(channel, unknown: UnknownQubit) -> list[TeleportOutcome]:
             sb=bloch_vector(bob_state),
         ))
     return outcomes
+
+
+# Sign rows of the affine branch map, one per branch in OUTCOME_LABELS
+# order; the circuit's CNOT, Hadamard and _CORRECTIONS fix them.
+_ETA = np.array([[1, -1, 1], [1, 1, -1], [-1, 1, 1], [-1, -1, -1]],
+                dtype=float)
+_FLIP = np.array([[1, 1, 1], [1, -1, -1], [-1, -1, 1], [-1, 1, -1]],
+                 dtype=float)
+
+
+def branch_map(bloch: TwoQubitBlochState, su) -> tuple[np.ndarray, np.ndarray]:
+    """Probability (..., 4) and receiver Bloch vector (..., 4, 3) of the
+    branches, in OUTCOME_LABELS order, as the affine map of the channel's
+    (s, t, C) that circuit_teleport computes (M., P. & R. Horodecki,
+    PRA 60, 1888 (1999)):
+
+        p_k = (1 + (eta_k o su) . s)/4,
+        p_k sb_k = D_k o (t + C^T (eta_k o su))/4,
+
+    with eta the rows of _ETA and D those of _FLIP.  As in the circuit, a
+    branch of probability <= 1e-14 carries the maximally mixed state
+    (sb = 0) and a negative probability reads 0."""
+    eta_su = _ETA * np.asarray(su, dtype=float)[..., None, :]
+    weight = (1.0 + np.linalg.vecdot(eta_su, bloch.s[..., None, :])) / 4.0
+    carried = _FLIP * (bloch.t[..., None, :] + eta_su @ bloch.cross) / 4.0
+    # Dividing by inf gives a branch of probability <= 1e-14 sb = 0.
+    sb = carried / np.where(weight > 1e-14, weight, np.inf)[..., None]
+    return np.maximum(weight, 0.0), sb
 
 
 def closed_form_bob(unknown: UnknownQubit, table: AmplitudeTable) -> np.ndarray:
@@ -177,16 +224,15 @@ def fidelity_paper(su, sb) -> float:
 def fidelity_overlap(unknown: UnknownQubit, bob_state) -> float:
     """Standard state overlap <psi_u| rho_B |psi_u> in [0, 1]."""
     rho = as_matrix(bob_state)
-    ket = np.array([[unknown.alpha], [unknown.beta]], dtype=complex)
+    ket = unknown.ket[..., :, None]
     # Row @ rho @ column: unlike vector operands, bit-identical on a stack.
-    return (ket.conj().T @ rho @ ket).real[..., 0, 0][()]
+    return (ket.conj().mT @ rho @ ket).real[..., 0, 0][()]
 
 
-def average_fidelity(outcomes: list[TeleportOutcome],
-                     unknown: UnknownQubit) -> float:
-    """Probability-weighted overlap fidelity across the four branches."""
-    return sum(o.probability * fidelity_overlap(unknown, o.bob_state)
-               for o in outcomes)
+def average_fidelity(probability, overlap) -> float:
+    """Probability-weighted overlap fidelity across the four branches,
+    which run along the last axis of both arguments, added in order."""
+    return sum(np.moveaxis(np.multiply(probability, overlap), -1, 0))
 
 
 def compare_bob_conventions(unknown: UnknownQubit, table: AmplitudeTable,

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qdcavity import AtomicInitialState, DensityMatrix, ladder_elements
+from qdcavity import (AtomicInitialState, DensityMatrix, TwoQubitBlochState,
+                      average_fidelity, fidelity_overlap, ladder_elements)
+from qdcavity.states import PAULI_X, PAULI_Y, PAULI_Z
 from qdcavity.exact import deformed_lowering_power
 
 
@@ -38,6 +40,30 @@ def bell_phi_plus() -> DensityMatrix:
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[0, 3] = rho[3, 0] = rho[3, 3] = 0.5
     return DensityMatrix.from_matrix(rho)
+
+
+def circuit_average_fidelity(outcomes, unknown):
+    """average_fidelity over the branches circuit_teleport returned."""
+    return average_fidelity(
+        np.stack([o.probability for o in outcomes], axis=-1),
+        np.stack([fidelity_overlap(unknown, o.bob_state) for o in outcomes],
+                 axis=-1))
+
+
+def reference_decompose(rho) -> TwoQubitBlochState:
+    """decompose as it was computed before it gathered entries: numpy's
+    trace of rho @ O for each of the 15 Pauli products O.  The
+    bit-identity oracle of states.decompose."""
+    paulis, one = (PAULI_X, PAULI_Y, PAULI_Z), np.eye(2, dtype=complex)
+    ops = ([np.kron(p, one) for p in paulis]
+           + [np.kron(one, p) for p in paulis]
+           + [np.kron(a, b) for a in paulis for b in paulis])
+    mat = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    values = np.stack([np.trace(mat @ op, axis1=-2, axis2=-1).real
+                       for op in ops], axis=-1)
+    return TwoQubitBlochState(
+        s=values[..., :3], t=values[..., 3:6],
+        cross=values[..., 6:].reshape(mat.shape[:-2] + (3, 3)))
 
 
 def collective_lowering() -> np.ndarray:

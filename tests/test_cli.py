@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -6,7 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from qdcavity import DensityMatrix, algebra, closedform, exact, states
+import qdcavity
+from qdcavity import (DensityMatrix, algebra, closedform, exact, states,
+                      teleport, validate)
 from qdcavity.cli import (
     SweepConfig,
     cmd_simulate,
@@ -315,6 +320,35 @@ class TestTeleport:
         buffer = io.StringIO()
         assert cmd_teleport(config, buffer) == 0
         assert "f_average" in buffer.getvalue()
+
+
+class TestCircuitIsTheOracle:
+    """The teleport columns come from teleport.branch_map; the circuit
+    runs once per teleport run, for the header's self-test, and once in
+    validate's ideal-channel check, over all 50 inputs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = teleport.circuit_teleport
+
+        def counted(channel, unknown):
+            calls.append(unknown)
+            return real(channel, unknown)
+
+        monkeypatch.setattr(teleport, "circuit_teleport", counted)
+        return calls
+
+    @pytest.mark.parametrize("engine", ["closed", "exact", "both"])
+    def test_teleport_runs_the_circuit_once(self, engine, calls, capsys):
+        code, out, _ = run_cli(["teleport", "--engine", engine, "--q", "0.5",
+                                "--q", "0.9", "--steps", "5"], capsys)
+        assert code == 0 and "# self-test: ideal channel" in out
+        assert len(calls) == 1
+
+    def test_ideal_channel_check_runs_the_circuit_once(self, calls):
+        assert validate.check_teleport_ideal().passed
+        assert len(calls) == 1 and np.shape(calls[0].alpha) == (50,)
 
 
 class TestPositivityWarnings:
@@ -704,6 +738,27 @@ class TestBadConfigWritesNothing:
         assert cause in err and "t_max" not in err
         assert peak < 2**20
         assert threading.active_count() == 1
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="caps the child's address space")
+    def test_grid_the_host_cannot_hold_exits_2(self):
+        # 1e8 steps pass the range check, but the grid's 800 MB exceed the
+        # child's 512 MiB address space.  SweepConfig builds the grid
+        # before the header, so the MemoryError exits 2 with nothing on
+        # stdout.  The child runs BLAS at one thread and starts no other.
+        script = ("import resource, sys\n"
+                  "from qdcavity import cli\n"
+                  "cap = 512 * 2**20\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                  "sys.exit(cli.main(['simulate', '--steps', '100000000']))\n")
+        source = os.path.dirname(os.path.dirname(qdcavity.__file__))
+        env = dict(os.environ, PYTHONPATH=source, OMP_NUM_THREADS="1",
+                   OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
 
     def test_missing_out_directory_exits_cleanly(self, tmp_path, capsys):
         path = tmp_path / "missing-dir" / "x.csv"

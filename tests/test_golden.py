@@ -9,7 +9,9 @@ and justify the new bytes in CHANGES.md.  The closed and both hashes of
 1a and 1b, the cutoff-627 and saturated-tail simulate-both hashes and
 the two edge simulate hashes were regenerated when the saturated tail
 came to be summed in closed form: fewer cells in each pairwise sum moved
-last digits only.
+last digits only.  The 3a and 3b both hashes were regenerated when the
+teleport columns came to be computed by the affine branch map: only
+max_dev, a difference of rounding noise, moved (by at most 1.2e-15).
 """
 
 import hashlib
@@ -28,9 +30,9 @@ GOLDEN = {
     ("2b", "closed"): "5d66a33690174a5d9ac4fe1f8b9adf4049db621551091a0841f4a328a06af949",
     ("2b", "both"): "33c9c047aaa1655c2d7b117e1c6a9142c9a589aaf4c3d4ea0f1f3b566d010c2d",
     ("3a", "closed"): "24c670d561271334db2922447587c0a6b6709d8850029e417179e961c264fc25",
-    ("3a", "both"): "6aa38e2d76a6721fd4f7d51a80a2e899b6a703155dc0841b8fce10cf0f1b5af0",
+    ("3a", "both"): "b811807294fb26bace3c35b4c0e80fe98567a368e1d701b267128eba792b3c06",
     ("3b", "closed"): "060e5c3e474f8297b71eacef5ea7a4b9cca16537e636879fa38c98212d5fae6e",
-    ("3b", "both"): "09dcf977e9567c9230b9b1f28b87a3072e157088fdf3d0d30bc666e55da3a5d7",
+    ("3b", "both"): "da3791993a588ae5d73ac568cbd076a785072abc10806e6c8199205b82096ba1",
     ("1a", "exact"): "3afa60c817c7ae1acd43c0f77e2e18e1b6379dc33a1c27008679fb8d3572793a",
     ("1b", "exact"): "44d6ce0b1af18c5c40e8633e9bdde26474a796edad0fd791e102cf7acdc86568",
     ("2a", "exact"): "7da3293211cf3402cdc70710e4a89a2874ddaab554daadbd1f1a0bb1540532dc",

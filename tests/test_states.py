@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdcavity import (
     PhysicalityError,
@@ -11,7 +12,9 @@ from qdcavity import (
     negativity,
     purity,
 )
-from conftest import bell_phi_plus, random_density, random_product_density
+from qdcavity.sweep import SweepConfig, sweep
+from conftest import (bell_phi_plus, random_density, random_product_density,
+                      reference_decompose)
 
 
 def bloch(s, t, cross):
@@ -132,6 +135,56 @@ class TestEntanglementDegree:
                 s=r @ state.s, t=q @ state.t, cross=r @ state.cross @ q.T)
             assert entanglement_degree(rotated) == pytest.approx(
                 entanglement_degree(state), abs=1e-10)
+
+
+def assert_same_bits(state, reference):
+    for name in ("s", "t", "cross"):
+        assert np.array_equal(getattr(state, name), getattr(reference, name))
+
+
+def generated_density(rng, rank: int) -> np.ndarray:
+    """A 4x4 density matrix of the given rank, from a Gaussian factor."""
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestDecomposeBits:
+    """decompose gathers one entry per column of each Pauli product and
+    must keep the bits of the matrix-product form it replaced."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4),
+           stack=st.sampled_from([(), (1,), (7,), (3, 5)]))
+    def test_random_densities(self, seed, rank, stack):
+        rng = np.random.default_rng(seed)
+        rho = np.array([generated_density(rng, rank)
+                        for _ in range(int(np.prod(stack)))]).reshape(
+            stack + (4, 4))
+        assert_same_bits(decompose(rho), reference_decompose(rho))
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(
+               lambda v: np.linalg.norm(v) > 1e-3),
+           q=st.floats(0.0, 1.0), m=st.integers(1, 3),
+           nbar=st.floats(0.0, 20.0))
+    def test_states_of_both_engines(self, parts, q, m, nbar):
+        atoms = np.array(parts[::2]) + 1j * np.array(parts[1::2])
+        atoms = tuple(atoms / np.linalg.norm(atoms))
+        config = SweepConfig(engine="both", q_values=(q,), m=m, nbar=nbar,
+                             steps=21, atoms=atoms)
+        for _, _, bloch, reduced in sweep(config):
+            assert_same_bits(decompose(reduced), reference_decompose(reduced))
+            closed = compose(bloch)
+            assert_same_bits(decompose(closed), reference_decompose(closed))
+
+    def test_nbar_400_exact_sweep(self):
+        config = SweepConfig(engine="exact", q_values=(0.5, 0.9), nbar=400.0,
+                             steps=101, atoms=(0.6 + 0.2j, 0.1 - 0.3j,
+                                               -0.3 + 0.5j, 0.4j))
+        assert config.field().cutoff == 627
+        for _, _, _, reduced in sweep(config):
+            assert_same_bits(decompose(reduced), reference_decompose(reduced))
 
 
 class TestNegativity:

@@ -1,5 +1,8 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qdcavity import (
     AtomicInitialState,
@@ -7,18 +10,22 @@ from qdcavity import (
     HamiltonianSpec,
     UnknownQubit,
     amplitude_table,
-    average_fidelity,
     bloch_from_table,
+    branch_map,
     choose_cutoff,
     circuit_teleport,
     closed_form_bob,
     coherent_weights,
     compare_bob_conventions,
     compose,
+    decompose,
     fidelity_overlap,
     fidelity_paper,
 )
-from conftest import bell_phi_plus, random_density, random_ket
+from qdcavity import cli
+from qdcavity.sweep import sweep
+from conftest import (bell_phi_plus, circuit_average_fidelity, random_density,
+                      random_ket)
 
 RSQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -93,7 +100,7 @@ class TestCircuit:
             np.testing.assert_allclose(outcome.sb,
                                        expected_sb[outcome.outcome_label],
                                        atol=1e-12)
-        assert average_fidelity(outcomes, unknown) == pytest.approx(
+        assert circuit_average_fidelity(outcomes, unknown) == pytest.approx(
             0.5, abs=1e-12)
         # input independence of the branch poles
         other = random_unknown(rng)
@@ -177,7 +184,7 @@ class TestFidelities:
     def test_average_on_ideal_channel(self, rng):
         unknown = random_unknown(rng)
         outcomes = circuit_teleport(bell_phi_plus(), unknown)
-        assert average_fidelity(outcomes, unknown) == pytest.approx(
+        assert circuit_average_fidelity(outcomes, unknown) == pytest.approx(
             1.0, abs=1e-10)
 
     def test_paper_score_capped_at_half(self):
@@ -194,3 +201,123 @@ class TestFidelities:
                 score = fidelity_paper(unknown.su,
                                        closed_form_bob(unknown, table))
                 assert score <= 0.5 + 1e-12
+
+
+POLES = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
+         (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)]
+unit_inputs = st.one_of(
+    st.sampled_from(POLES),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda v: np.linalg.norm(v) > 1e-3))
+
+
+def input_along(direction) -> UnknownQubit:
+    su = np.asarray(direction, dtype=float)
+    return UnknownQubit.from_bloch(su / np.linalg.norm(su))
+
+
+def generated_channel(kind: int, rng) -> np.ndarray:
+    """Kinds 0-3: the basis states |ee>, |eg>, |ge>, |gg>, which leave a
+    pole input two branches of probability zero; kind 4: the ideal
+    channel; kinds 5-8: a random density of rank kind - 4."""
+    if kind < 4:
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[kind, kind] = 1.0
+        return rho
+    if kind == 4:
+        return bell_phi_plus().matrix
+    g = rng.normal(size=(4, kind - 4)) + 1j * rng.normal(size=(4, kind - 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestBranchMap:
+    """branch_map against circuit_teleport, the oracle it replaced on the
+    CLI's run path."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.integers(0, 8), min_size=1, max_size=4),
+           stacked=st.booleans(), direction=unit_inputs)
+    @example(seed=0, kinds=[0, 3, 8], stacked=True, direction=(0.0, 0.0, 1.0))
+    def test_matches_circuit(self, seed, kinds, stacked, direction):
+        rng = np.random.default_rng(seed)
+        channels = np.array([generated_channel(k, rng) for k in kinds])
+        if not stacked:
+            channels = channels[0]
+        unknown = input_along(direction)
+        probability, sb = branch_map(decompose(channels), unknown.su)
+        assert probability.shape == channels.shape[:-2] + (4,)
+        for k, outcome in enumerate(circuit_teleport(channels, unknown)):
+            assert np.max(np.abs(probability[..., k]
+                                 - outcome.probability)) <= 1e-13
+            assert np.max(np.abs(sb[..., k, :] - outcome.sb)) <= 1e-13
+            overlap = (1.0 + np.linalg.vecdot(sb[..., k, :], unknown.su)) / 2.0
+            circuit = fidelity_overlap(unknown, outcome.bob_state)
+            assert np.max(np.abs(overlap - circuit)) <= 1e-13
+
+    def test_zero_probability_branches_are_mixed(self):
+        # |ee> with the input |e>: the eg and gg branches never occur.
+        probability, sb = branch_map(decompose(generated_channel(0, None)),
+                                     input_along((0.0, 0.0, 1.0)).su)
+        assert probability.tolist() == [0.5, 0.0, 0.5, 0.0]
+        assert not sb[[1, 3]].any()
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(
+               lambda v: np.linalg.norm(v) > 1e-3),
+           q=st.floats(0.0, 1.0), m=st.integers(1, 3),
+           nbar=st.floats(0.0, 20.0), t=st.floats(0.0, 20.0),
+           direction=unit_inputs)
+    def test_closed_form_bob_is_twice_the_ee_weight(self, parts, q, m, nbar,
+                                                    t, direction):
+        # closed_form_bob reads the input with |e> and |g> exchanged
+        # against the circuit: at t = 0 over |ee> it gives |beta|^2, where
+        # the circuit's ee branch carries |alpha|^2.  The two agree on the
+        # x axis, the input validate's bob-convention check uses.
+        atoms = np.array(parts[::2]) + 1j * np.array(parts[1::2])
+        atoms = AtomicInitialState(*(atoms / np.linalg.norm(atoms)))
+        field = coherent_weights(nbar, choose_cutoff(nbar, m))
+        table = amplitude_table(t, atoms, field, HamiltonianSpec(m=m, q=q))
+        unknown = input_along(direction)
+        exchanged = UnknownQubit(alpha=unknown.beta, beta=unknown.alpha)
+        probability, sb = branch_map(bloch_from_table(table), exchanged.su)
+        assert np.max(np.abs(closed_form_bob(unknown, table)
+                             - 2.0 * probability[0] * sb[0])) <= 1e-13
+
+    def test_closed_form_bob_on_the_x_axis(self):
+        field = coherent_weights(10.0, choose_cutoff(10.0, 1))
+        table = amplitude_table(np.linspace(0.0, 10.0, 51),
+                                AtomicInitialState(1.0, 0.0, 0.0, 0.0), field,
+                                HamiltonianSpec(m=1, q=0.9))
+        unknown = input_along((1.0, 0.0, 0.0))
+        probability, sb = branch_map(bloch_from_table(table), unknown.su)
+        carried = 2.0 * probability[:, 0, None] * sb[:, 0]
+        assert np.max(np.abs(closed_form_bob(unknown, table)
+                             - carried)) <= 1e-13
+
+    def test_cli_columns_match_the_circuit(self):
+        # This input moves 6 printed cells in their 12th digit against
+        # the circuit (worst 1.0e-12); no golden hash pins it.
+        argv = ["teleport", "--fig", "3a", "--alpha", "0.6+0.2i",
+                "--beta", "0.3-0.714142842854285i"]
+        config = cli._resolve(cli.build_parser().parse_args(argv), "teleport")
+        buffer = io.StringIO()
+        assert cli.cmd_teleport(config, buffer) == 0
+        rows = [line.split(",") for line in buffer.getvalue().splitlines()
+                if line and not line.startswith("#")][1:]
+        unknown = config.unknown_qubit()
+        expected = []
+        for _, times, bloch, _ in sweep(config):
+            outcomes = circuit_teleport(compose(bloch), unknown)
+            average = circuit_average_fidelity(outcomes, unknown)
+            columns = [np.stack([
+                o.probability,
+                fidelity_paper(unknown.su, 2.0 * o.probability[:, None] * o.sb),
+                fidelity_overlap(unknown, o.bob_state),
+                average], axis=-1) for o in outcomes]
+            expected.append(np.stack(columns, axis=1).reshape(-1, 4))
+        expected = np.concatenate(expected)
+        printed = np.array([[float(v) for v in row[3:]] for row in rows])
+        assert printed.shape == expected.shape == (1608, 4)
+        assert np.max(np.abs(printed - expected)) <= 1.5e-12

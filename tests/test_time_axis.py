@@ -15,7 +15,6 @@ from qdcavity import (
     TwoQubitBlochState,
     UnknownQubit,
     amplitude_table,
-    average_fidelity,
     bloch_from_table,
     bloch_vector,
     choose_cutoff,
@@ -34,7 +33,7 @@ from qdcavity import (
     reduced_atomic_state,
 )
 from qdcavity.states import max_deviation
-from conftest import random_density, random_ket
+from conftest import circuit_average_fidelity, random_density, random_ket
 from test_closedform import explicit_last
 
 REAL_KET = UnknownQubit(alpha=1.0 / np.sqrt(2.0), beta=1.0 / np.sqrt(2.0))
@@ -279,8 +278,9 @@ class TestTeleport:
             weighted = 2.0 * outcome.probability[:, None] * outcome.sb
             assert_per_point(fidelity_paper(unknown.su, weighted),
                              [fidelity_paper(unknown.su, w) for w in weighted])
-        assert_per_point(average_fidelity(outcomes, unknown),
-                         [average_fidelity(o, unknown) for o in single_outcomes])
+        assert_per_point(circuit_average_fidelity(outcomes, unknown),
+                         [circuit_average_fidelity(o, unknown)
+                          for o in single_outcomes])
         assert_per_point(closed_form_bob(unknown, table),
                          [closed_form_bob(unknown, s) for s in single_tables])
 
@@ -300,6 +300,29 @@ class TestTeleport:
         assert stacked[3].probability[1] == 0.0
         assert np.array_equal(stacked[3].bob_state.matrix[1], np.eye(2) / 2.0)
 
+    @pytest.mark.parametrize("stacked_channel", [False, True],
+                             ids=["one-channel", "channel-per-input"])
+    def test_stacked_inputs(self, rng, stacked_channel):
+        kets = np.array([random_ket(rng, 2) for _ in range(5)])
+        inputs = UnknownQubit(alpha=kets[:, 0], beta=kets[:, 1])
+        singles = [UnknownQubit(alpha=a, beta=b) for a, b in kets]
+        channels = (np.array([random_density(rng, 4) for _ in singles])
+                    if stacked_channel else random_density(rng, 4))
+        per_input = [circuit_teleport(
+            channels[k] if stacked_channel else channels, single)
+            for k, single in enumerate(singles)]
+        assert_per_point(inputs.su, [single.su for single in singles])
+        for index, outcome in enumerate(circuit_teleport(channels, inputs)):
+            branch = [o[index] for o in per_input]
+            assert_per_point(outcome.probability,
+                             [b.probability for b in branch])
+            assert_per_point(outcome.bob_state.matrix,
+                             [b.bob_state.matrix for b in branch])
+            assert_per_point(outcome.sb, [b.sb for b in branch])
+            assert_per_point(fidelity_overlap(inputs, outcome.bob_state),
+                             [fidelity_overlap(single, b.bob_state)
+                              for single, b in zip(singles, branch)])
+
     def test_scalar_channel_keeps_unstacked_types(self, rng):
         outcomes = circuit_teleport(random_density(rng, 4), REAL_KET)
         for outcome in outcomes:
@@ -307,4 +330,4 @@ class TestTeleport:
             assert outcome.sb.shape == (3,)
             value = fidelity_overlap(REAL_KET, outcome.bob_state)
             assert isinstance(value, float) and not isinstance(value, np.ndarray)
-        assert isinstance(average_fidelity(outcomes, REAL_KET), float)
+        assert isinstance(circuit_average_fidelity(outcomes, REAL_KET), float)
