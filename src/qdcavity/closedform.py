@@ -12,19 +12,19 @@ doubly-excited head.  The couplings are the m-photon ladder elements of
 algebra.ladder_elements, in units of lambda (times are lambda*t); they
 vanish below m photons, so couplings to missing states are zero there.
 That keeps the same formulas valid and makes the table exhaust the whole
-truncated space (total weight 1 for any initial state).  From column
-head on, where the deformed ladder has saturated, all manifolds share one
-Rabi rate: the kernel computes columns [0, X], X = min(cutoff, head + 2m),
-and the reduction sums the rest as quadratic forms formed once per q.  A
-1-D array of times puts a leading time axis on every result; sweep.sweep
-runs every chunk through one buffer, one workspace and its q's
-kernel_factors, reduces it into the block's rows, and assembles Bloch
-states per block.
+truncated space (total weight 1 for any initial state).  Row i of the
+table is c^(i+1) = K[i] R, K a coefficient table formed once per q and R
+= (1, half_rabi, cos^2, sin^2, swap).  From column head on, where the
+ladder has saturated, R stops depending on n: the kernel computes columns
+[0, X], X = min(cutoff, head + 2m), and the reduction sums the rest as
+forms over R.  A 1-D array of times puts a leading time axis on every
+result; sweep.sweep runs every chunk through one buffer, one workspace
+and its q's kernel_factors, reduces it into the block's rows, and
+assembles Bloch states per block.
 """
 
 import collections
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -51,9 +51,10 @@ _PAIRS = ((0, 2, 1), (1, 3, 1), (0, 1, 1), (2, 3, 1), (0, 3, 2), (1, 2, 0))
 
 
 class AmplitudeTable:
-    """Manifold amplitudes c on the explicit columns, of shape ([T,] 4,
-    X + 1): row i holds c^(i+1), and column n + 2m holds manifold n, for
-    n from -2m.  Past X, c = K R: reals R ([T,] 5), tail K's forms."""
+    """Manifold amplitudes c = K R on the explicit columns, of shape ([T,]
+    4, X + 1): row i holds c^(i+1), and column n + 2m holds manifold n, for
+    n from -2m.  Past X, R is R at head: reals ([T,] 5), and tail the 5x5
+    forms of K's rows past X (4 grams, 6 crosses)."""
 
     def __init__(self, m: int, c: np.ndarray, reals=None, tail=None):
         self.m, self.c, self.reals, self.tail = m, c, reals, tail
@@ -131,8 +132,13 @@ def _scratch(work: np.ndarray, shape: tuple, count: int, dtype=complex):
         (count,) + shape)
 
 
-Factors = collections.namedtuple(
-    "Factors", "head mu frozen mu_safe two_mu_safe w_nm i_drive edges tail")
+# Row i of K multiplies R[u], R[v] and R[w], (u, v, w) = _TERMS[i], with
+# _SIGNS' signs: c^(i+1) = K[i, 0] R[u] - K[i, 1] R[v] - K[i, 2] R[w].
+# Subtracting, not adding negated terms, keeps the reference's signed zeros.
+_TERMS = np.array([(0, 4, 1), (2, 3, 1), (2, 3, 1), (0, 4, 1)])
+_SIGNS = np.array([1.0, -1.0, -1.0])
+
+Factors = collections.namedtuple("Factors", "head mu frozen mu_safe two_mu_safe k tail")
 
 
 def kernel_factors(atoms: AtomicInitialState, field: FieldSpec,
@@ -140,7 +146,8 @@ def kernel_factors(atoms: AtomicInitialState, field: FieldSpec,
     """The time-invariant rows over n of one q's kernel.  head starts the
     trailing run of bit-equal rates mu ([n]_q = 1/(1-q) in doubles; the
     cutoff at q = 1); mu, frozen, mu_safe and 2 mu_safe end at head, the
-    complex rows at X = min(cutoff, head + 2m) and tail sums the rest."""
+    coefficient table k (4, 3, X + 1) at X = min(cutoff, head + 2m), and
+    tail sums the rest."""
     a1, a2, a3, a4 = atoms.amplitudes
     # Coherent weights W_{n+2m}, W_{n+m}, W_n for n = -2m..cutoff-2m; a
     # weight at a negative photon number is zero.
@@ -154,33 +161,29 @@ def kernel_factors(atoms: AtomicInitialState, field: FieldSpec,
     frozen = mu == 0.0
     mu_safe = np.where(frozen, 1.0, mu)
     drive = a1 * nu1 * w_n + a4 * nu2 * w_n2m
-    # Each edge's (a w, nu drive, i nu (a2 + a3) w_nm), then i drive, w_nm.
-    rows = [row for a, nu, w in ((a1, nu1, w_n), (a4, nu2, w_n2m))
-            for row in (a * w, nu * drive, 1j * nu * (a2 + a3) * w_nm)] + [1j * drive, w_nm]
-    tail = _tail_forms(rows, last, spec.m, a2, a3) if last < field.cutoff else None
-    rows = [row[:last + 1] for row in rows]
-    return Factors(head, mu, frozen, mu_safe, 2.0 * mu_safe, rows[7], rows[6],
-                   (rows[:3], rows[3:6]), tail)
+    k = np.empty((4, 3, field.cutoff + 1), complex)
+    for i, a, nu, w in ((0, a1, nu1, w_n), (3, a4, nu2, w_n2m)):
+        k[i] = a * w, nu * drive, 1j * nu * (a2 + a3) * w_nm
+    for i, a, b in ((1, a2, a3), (2, a3, a2)):
+        k[i] = a * w_nm, b * w_nm, 1j * drive
+    tail = _tail_forms(k, last, spec.m) if last < field.cutoff else None
+    return Factors(head, mu, frozen, mu_safe, 2.0 * mu_safe,
+                   np.ascontiguousarray(k[..., :last + 1]), tail)
 
 
-def _tail_forms(rows: list, last: int, m: int, a2, a3) -> tuple:
-    """Past X = last, c^(i+1)[n] = K_i[n] R for K_i = coef_i rows and R =
-    (1, half_rabi, cos^2, sin^2, swap) at head, as at each n - shift > head:
-    gram_i = Re sum_n conj(K_i) K_i^T, cross_k = sum_n K_i conj(K_j[n - shift])^T."""
-    coef = np.zeros((4, 5, 8), complex)
-    for i, v in ((0, 0), (3, 3)):  # (a w, -i nu (a2 + a3) w_nm, 0, 0, -nu drive)
-        coef[i, (0, 1, 4), (v, v + 2, v + 1)] = 1, -1, -1
-    coef[1:3, 1, 6] = -1  # (0, -i drive, a w_nm, -b w_nm, 0), (a, b) = (a2, a3)
-    coef[1:3, 2:4, 7] = (a2, -a3), (a3, -a2)
-    # products[s][v, u] = sum over the tail of rows[v][n] conj(rows[u][n - sm])
-    reads = [np.flatnonzero(k.any(0)) for k in coef]
-    end, products = rows[0].size, np.zeros((3, 8, 8), complex)
-    for i, j, s in _PAIRS + tuple((i, i, 0) for i in range(4)):
-        for v, u in itertools.product(reads[i], reads[j]):
-            products[s, v, u] = np.vdot(rows[u][last + 1 - s * m:end - s * m],
-                                        rows[v][last + 1:])
-    return ((coef @ products[0] @ coef.conj().mT).real, np.stack(
-        [coef[i] @ products[s] @ coef[j].conj().T for i, j, s in _PAIRS]))
+def _tail_forms(k: np.ndarray, last: int, m: int) -> tuple:
+    """The 5x5 forms over R of k's columns past X = last, with R at head
+    as at each n - shift > head: gram_i = Re sum_n c^(i+1)[n] conj(c^(i+1)[n])
+    and cross_k = sum_n c^(i+1)[n] conj(c^(j+1)[n - shift]), each entry a
+    signed dot product of two rows of k."""
+    sums = tuple((i, i, 0) for i in range(4)) + _PAIRS
+    left, right, _ = np.transpose(sums)
+    forms, end = np.zeros((len(sums), 5, 5), complex), k.shape[-1]
+    forms[np.arange(len(sums))[:, None, None], _TERMS[left, :, None],
+          _TERMS[right, None, :]] = np.outer(_SIGNS, _SIGNS) * [np.vecdot(
+              k[j, None, :, last + 1 - s * m:end - s * m], k[i, :, None, last + 1:])
+              for i, j, s in sums]
+    return forms[:4].real, forms[4:]
 
 
 def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
@@ -194,23 +197,20 @@ def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
     if field.cutoff < 2 * spec.m:
         raise ConfigurationError(
             f"cutoff {field.cutoff} below one manifold span 2m = {2 * spec.m}")
-    (head, mu, frozen, mu_safe, two_mu_safe, w_nm, i_drive,
-     edges, tail) = factors or kernel_factors(atoms, field, spec)
-    _, a2, a3, _ = atoms.amplitudes
-    shape = np.shape(t) + (w_nm.size,)  # one row
+    head, mu, frozen, mu_safe, two_mu_safe, k, tail = \
+        factors or kernel_factors(atoms, field, spec)
+    shape = np.shape(t) + k.shape[-1:]  # one row
     size = 4 * math.prod(shape)
     rows = (np.empty(size, complex) if out is None else
             np.reshape(out, -1, copy=False)[:size]).reshape((4,) + shape)
     work = workspace(math.prod(shape[:-1]), shape[-1]) if work is None else work
     t = np.asarray(t, dtype=float)[..., None]  # ([T,] 1) against n
 
-    # Every intermediate is written in place, each ufunc taking its operands
-    # in the order of the formula; no sin, cos or complex product writes
-    # over its own input, which may select another numpy loop.  The real
-    # intermediates live in rows of the table not yet written.
-    product, mixing = _scratch(work, shape, 2)
+    # The reals live in table rows 0, 1 and 3, each row of c is summed in
+    # the workspace, and no sin, cos or complex product writes over its
+    # own input, which may select another numpy loop.
     (sin_sq, cos_sq), (two_mu_t, mu_t), (half_rabi, swap) = (
-        rows[k].view(float).reshape((2,) + shape) for k in (0, 1, 3))
+        rows[i].view(float).reshape((2,) + shape) for i in (0, 1, 3))
 
     # The four reals depend on n only through mu: computed on [0, head],
     # column head is copied up to X (equal inputs, equal bits).
@@ -227,21 +227,20 @@ def amplitude_table(t, atoms: AtomicInitialState, field: FieldSpec,
     np.square(np.divide(sin_sq[cut], mu_safe, out=swap[cut]), out=swap[cut])
     swap[cut][..., frozen] = 0.0
     np.square(sin_sq[cut], out=sin_sq[cut])
-    for real in (half_rabi, cos_sq, sin_sq, swap):
+    r = (None, half_rabi, cos_sq, sin_sq, swap)  # R, whose R[0] = 1 is implied
+    for real in r[1:]:
         real[..., head + 1:] = real[..., head, None]
     reals = None if tail is None else np.stack([np.ones(shape[:-1]), *(
-        real[..., head] for real in (half_rabi, cos_sq, sin_sq, swap))], -1)
+        real[..., head] for real in r[1:])], -1)
 
-    # Rows 1 and 2 come first, while rows 0 and 3 still hold the reals.
-    np.multiply(i_drive, half_rabi, out=mixing)
-    for k, a, b, spare in ((1, a2, a3, rows[2]), (2, a3, a2, product)):
-        np.subtract(np.multiply(a, cos_sq, out=rows[k]),
-                    np.multiply(b, sin_sq, out=spare), out=rows[k])
-        np.subtract(np.multiply(w_nm, rows[k], out=spare), mixing, out=rows[k])
-    for k, (a_w, nu_drive, i_nu_w) in zip((0, 3), edges):
-        np.subtract(a_w, np.multiply(nu_drive, swap, out=product), out=product)
-        np.multiply(i_nu_w, half_rabi, out=mixing)
-        np.subtract(product, mixing, out=rows[k])
+    # c = K R, term by term in _TERMS' order: rows 1 and 2 first, while
+    # row 0 still holds cos^2 and sin^2.
+    first, second = _scratch(work, shape, 2)
+    for i in (1, 2, 0, 3):
+        (u, v, w), (k_u, k_v, k_w) = _TERMS[i], k[i]
+        lead = k_u if u == 0 else np.multiply(k_u, r[u], out=first)
+        np.subtract(lead, np.multiply(k_v, r[v], out=second), out=first)
+        np.subtract(first, np.multiply(k_w, r[w], out=second), out=rows[i])
     return AmplitudeTable(spec.m, rows.swapaxes(0, -2), reals, tail)
 
 

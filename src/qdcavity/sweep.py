@@ -146,7 +146,7 @@ def sweep(config: SweepConfig):
                 sums = closedform.Reduction(
                     np.empty((4, len(block))), np.empty((6, len(block)), complex))
                 start = 0
-                for times in algebra.time_chunks(block, factors.w_nm.size):
+                for times in algebra.time_chunks(block, factors.k.shape[-1]):
                     closedform.amplitude_table(
                         times, atoms, field, spec, out=buffer, work=work,
                         factors=factors).reduce_into(

@@ -137,8 +137,9 @@ def reference_cutoff(mean_photons: float, m: int,
 def reference_amplitude_arrays(t, atoms, field, spec) -> np.ndarray:
     """The closed-form kernel as it was before it wrote through a
     workspace: every intermediate a fresh array, the frozen manifolds
-    (mu = 0) chosen by np.where.  The bit-identity oracle of
-    closedform.amplitude_table."""
+    (mu = 0) chosen by np.where.  The oracle of closedform.amplitude_table:
+    bit for bit when a2 = a3 = 0, to 1e-15 otherwise, since the kernel's
+    coefficient table multiplies a2 and a3 into the weights first."""
     a1, a2, a3, a4 = atoms.amplitudes
     m = spec.m
     t = np.asarray(t, dtype=float)[..., None]

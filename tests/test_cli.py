@@ -1,4 +1,6 @@
+import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qdcavity
 from qdcavity import (DensityMatrix, algebra, closedform, exact, states,
@@ -686,6 +689,17 @@ class TestLargeNbar:
         assert max(float(row["max_dev"]) for row in rows) <= 1e-9
 
 
+# Each argv input is drawn valid five times in six.  Accepted runs are
+# kept small, steps * (cutoff + 1) <= ARGV_CELLS; only inputs SweepConfig
+# rejects before it allocates are large: 1e8 < steps <= 1e12, nbar past
+# the 1e6-level ceiling, and m whose ladder overflows.
+ARGV_CELLS = 10**5
+
+
+def mostly(valid, invalid):
+    return st.integers(0, 5).flatmap(lambda k: invalid if k == 5 else valid)
+
+
 class TestBadConfigWritesNothing:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--q", "0.5", "--q", "2", "--steps", "3"],
@@ -759,6 +773,46 @@ class TestBadConfigWritesNothing:
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.stderr
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(command=st.sampled_from(["simulate", "teleport"]),
+           engine=st.sampled_from([None, "closed", "exact", "both"]),
+           q_values=st.lists(mostly(st.floats(0.0, 1.0), st.sampled_from(
+               [math.nan, -0.5, -math.inf, 1.0 + 1e-12, 2.0, math.inf])),
+               min_size=1, max_size=3),
+           m=mostly(st.one_of(st.integers(1, 3), st.integers(1, 400)),
+                    st.integers(-1, 0)),
+           nbar=mostly(st.floats(0.0, 500.0), st.one_of(st.floats(1e6, 1e9),
+                       st.sampled_from([math.nan, math.inf, -1.0]))),
+           steps=mostly(st.integers(2, 40), st.one_of(
+               st.integers(-1, 1), st.integers(10**8 + 1, 10**12))),
+           t_max=mostly(st.floats(0.1, 50.0), st.sampled_from(
+               [0.0, -1.0, math.nan, math.inf, 1e300, 1e308])))
+    @example(command="simulate", engine="both", q_values=[0.0], m=400,
+             nbar=500.0, steps=40, t_max=10.0)
+    @example(command="teleport", engine=None, q_values=[1.0], m=400,
+             nbar=0.0, steps=2, t_max=10.0)
+    @example(command="simulate", engine="closed", q_values=[0.5], m=1,
+             nbar=1e9, steps=10**12, t_max=10.0)
+    def test_every_argv_exits_0_or_2(self, command, engine, q_values, m, nbar,
+                                     steps, t_max):
+        argv = [command, f"--m={m}", f"--nbar={nbar!r}", f"--steps={steps}",
+                f"--t-max={t_max!r}", *(f"--q={q!r}" for q in q_values)]
+        argv += [f"--engine={engine}"] if engine else []
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error:")
+        else:
+            cutoff = int(out.split("# cutoff=", 1)[1].split("\n", 1)[0])
+            assert steps * (cutoff + 1) <= ARGV_CELLS
+            assert len(csv_rows(out)[1]) == steps * len(q_values) * (
+                1 if command == "simulate" else len(teleport.OUTCOME_LABELS))
 
     def test_missing_out_directory_exits_cleanly(self, tmp_path, capsys):
         path = tmp_path / "missing-dir" / "x.csv"
