@@ -50,7 +50,6 @@ from .teleport import (
     branch_map,
     circuit_teleport,
     closed_form_bob,
-    compare_bob_conventions,
     fidelity_overlap,
     fidelity_paper,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "closed_form_bob",
     "coherent_field",
     "coherent_weights",
-    "compare_bob_conventions",
     "compose",
     "decompose",
     "entanglement_degree",

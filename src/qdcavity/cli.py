@@ -17,6 +17,7 @@ version) on '#' comment lines, so a repeated run is byte-identical.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -265,7 +266,10 @@ def cmd_validate(stream) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every main call: parse_args leaves it unchanged,
+    and --q's append action starts a new list in each namespace."""
     parser = argparse.ArgumentParser(
         prog="qdcavity",
         description="Two-atom dynamics in a q-deformed multiphoton cavity: "

@@ -100,9 +100,7 @@ class AmplitudeTable:
 
     @property
     def total_weight(self) -> float:
-        c = np.ascontiguousarray(self.c)
-        return np.sum(c.real**2 + c.imag**2, axis=(-2, -1)) + sum(
-            map(self._tail_sum, self.tail[0] if self.tail else ()))
+        return np.sum(self.populations, axis=0)
 
 
 @functools.lru_cache(maxsize=128)

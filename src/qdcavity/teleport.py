@@ -6,12 +6,12 @@ Bloch vectors and cross dyadic; the CLI computes its columns with it.
 circuit_teleport is a gate-level density-matrix simulation of the
 protocol (CNOT, Hadamard, projective measurement, conditional Pauli
 correction): the independent oracle that the CLI header's self-test and
-`validate` run.  closed_form_bob assembles the receiver vector on the ee
-branch directly from the manifold amplitudes of the channel; it tracks
-the branch operator scaled by twice its probability, which
-compare_bob_conventions establishes rather than assumes.  A stack of
-channels, and a stack of inputs, runs through at once, adding its
-leading axes to every result.
+`validate` run.  closed_form_bob assembles the ee branch's receiver
+vector, carried at twice the branch probability (2 p_ee sb_ee, as the
+map gives it), directly from the manifold amplitudes of the channel.
+All three read alpha as the amplitude on |e>.  A stack of channels, and
+a stack of inputs, runs through at once, adding its leading axes to
+every result.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,6 @@ __all__ = [
     "branch_map",
     "circuit_teleport",
     "closed_form_bob",
-    "compare_bob_conventions",
     "fidelity_overlap",
     "fidelity_paper",
 ]
@@ -192,25 +191,27 @@ def closed_form_bob(unknown: UnknownQubit, table: AmplitudeTable) -> np.ndarray:
     """Receiver Bloch vector on the ee branch, assembled directly from
     the channel's manifold amplitudes.
 
-    The sums carry the branch weight rather than being normalised: at
-    t = 0 over a doubly-excited channel they give (0, 0, |beta|^2).
+    The sums carry the branch weight rather than being normalised, as
+    2 p_ee sb_ee of branch_map: at t = 0 over a doubly-excited channel
+    they give (0, 0, |alpha|^2).  Stacks of tables and of inputs
+    broadcast.
     """
-    alpha, beta = complex(unknown.alpha), complex(unknown.beta)
+    alpha, beta = unknown.ket[..., 0], unknown.ket[..., 1]
     n1, n2, n3, n4 = table.populations
     ee_ge, eg_gg, ee_eg, ge_gg, ee_gg, eg_ge = table.correlations
     ge_eg = eg_ge.conjugate()
 
-    aa = abs(alpha) ** 2
-    bb = abs(beta) ** 2
+    aa = np.abs(alpha) ** 2
+    bb = np.abs(beta) ** 2
     ab = alpha * np.conj(beta)
 
     gg_ee = np.conj(ee_gg)
-    sx = aa * 2.0 * ge_gg.real + bb * 2.0 * ee_eg.real \
-        + 2.0 * (ab * (ge_eg + gg_ee)).real
-    sy = aa * 2.0 * ge_gg.imag + bb * 2.0 * ee_eg.imag \
-        + 2.0 * (ab * (ge_eg - gg_ee)).imag
-    sz = aa * (n3 - n4) + bb * (n1 - n2) \
-        + 2.0 * (np.conj(ab) * (ee_ge - eg_gg)).real
+    sx = bb * 2.0 * ge_gg.real + aa * 2.0 * ee_eg.real \
+        + 2.0 * (np.conj(ab) * (ge_eg + gg_ee)).real
+    sy = bb * 2.0 * ge_gg.imag + aa * 2.0 * ee_eg.imag \
+        + 2.0 * (np.conj(ab) * (ge_eg - gg_ee)).imag
+    sz = bb * (n3 - n4) + aa * (n1 - n2) \
+        + 2.0 * (ab * (ee_ge - eg_gg)).real
     return np.stack([sx, sy, sz], axis=-1)
 
 
@@ -233,18 +234,3 @@ def average_fidelity(probability, overlap) -> float:
     """Probability-weighted overlap fidelity across the four branches,
     which run along the last axis of both arguments, added in order."""
     return sum(np.moveaxis(np.multiply(probability, overlap), -1, 0))
-
-
-def compare_bob_conventions(unknown: UnknownQubit, table: AmplitudeTable,
-                            channel) -> dict:
-    """Deviations of the closed-form receiver vector from the circuit's
-    ee branch under the two candidate scalings of the branch state, as
-    the keys 'normalized' (unit trace) and 'unnormalized' (trace = twice
-    the branch probability).  Exactly one should agree."""
-    branch = circuit_teleport(channel, unknown)[0]
-    analytic = closed_form_bob(unknown, table)
-    carried = 2.0 * branch.probability[..., None] * branch.sb
-    return {
-        "normalized": float(np.max(np.abs(analytic - branch.sb))),
-        "unnormalized": float(np.max(np.abs(analytic - carried))),
-    }

@@ -17,6 +17,7 @@ from qdcavity import (DensityMatrix, algebra, closedform, exact, states,
                       teleport, validate)
 from qdcavity.cli import (
     SweepConfig,
+    build_parser,
     cmd_simulate,
     cmd_teleport,
     fmt,
@@ -63,6 +64,16 @@ class TestParsing:
         assert format_rows([np.array([cells])]) == [
             ",".join(fmt(v) for v in cells)]
         assert fmt(-0.0) == "0" and fmt(5e-324) == "4.94065645841e-324"
+
+    def test_one_parser_keeps_no_q_between_calls(self, capsys):
+        # main builds the parser once; each call's --q list is its own.
+        for q_values in (("0.3",), ("0.4", "0.6")):
+            argv = ["simulate", "--steps", "2", "--nbar", "0"]
+            code, out, _ = run_cli(
+                argv + [f"--q={q}" for q in q_values], capsys)
+            assert code == 0
+            assert f"# q={','.join(q_values)}\n" in out
+        assert build_parser() is build_parser()
 
     def test_input_echo_drops_signed_zero(self, capsys):
         code, out, _ = run_cli(

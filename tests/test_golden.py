@@ -16,7 +16,10 @@ The two cutoff-627 hashes were regenerated when the kernel came to read
 one coefficient table K, which folds a2 and a3 into the weights before
 the Rabi functions multiply them: last digits of 269 of 13,846 simulate
 cells and 6 of 16,856 teleport cells moved (by at most 1.0e-12, one unit
-in the twelfth digit).
+in the twelfth digit).  The validate hash was regenerated when one
+agreement check of closed_form_bob, the map and the circuit replaced the
+two-convention vote and total_weight came to sum the populations: only
+the bob-convention and amplitude-normalization lines moved.
 """
 
 import hashlib
@@ -46,7 +49,7 @@ GOLDEN = {
     ("3b", "exact"): "a117b1ab3d78119ba79911ffad0e122ad0fedfb854f6c358ba27f718fc1de500",
 }
 
-VALIDATE_GOLDEN = "c6578bcf99a2834302436330f499d49f51b3d4ec0116fd12ddcd05fee6e437d9"
+VALIDATE_GOLDEN = "812f7634b1e22ba806de2d518f3922214e2e372a4de3d304483c0619c18ca654"
 
 # Cutoff 627 (nbar 400): six times per kernel chunk, and 301 steps leave a
 # last block of 45 times that ends inside a chunk.

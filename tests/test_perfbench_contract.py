@@ -20,13 +20,16 @@ from qdcavity import (
     coherent_weights,
     evolved_bloch,
     initial_composite_state,
+    validate,
 )
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
-SWEEP_ARGVS = [op["argv"] for workload in json.loads(
+OPS = [op for workload in json.loads(
     (PERFBENCH / "workloads.json").read_text())["workloads"].values()
-    for op in workload["ops"] if op["argv"][0] != "validate"]
+    for op in workload["ops"]]
+SWEEP_ARGVS = [op["argv"] for op in OPS if op["argv"][0] != "validate"]
 
 
 def load_tracing():
@@ -42,6 +45,24 @@ def test_traced_functions_exist():
     for module_name, attr, _ in functions:
         module = importlib.import_module(f"qdcavity.{module_name}")
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_validate_prints_the_expected_line(capsys):
+    # The gate looks for this line in the validate operation's output.
+    (expect,) = [op["expect"] for op in OPS if op["argv"] == ["validate"]]
+    assert cli.main(["validate"]) == 0
+    assert expect in capsys.readouterr().out.splitlines()
+
+
+def test_checks_are_the_per_layer_validate_spans():
+    # tracing.py times each check as validate.<name>_s, and the INFO
+    # lines as validate.entanglement-minima_s.
+    spans = {metric["name"][len("validate."):-len("_s")]
+             for metric in json.loads(
+                 (ROOT / "BENCHMARK.json").read_text())["per_layer"]
+             if metric["name"].startswith("validate.")}
+    checks, _ = validate.run_all_checks()
+    assert {check.name for check in checks} == spans - {"entanglement-minima"}
 
 
 @pytest.mark.parametrize("nbar", [10.0, 400.0])

@@ -23,9 +23,9 @@ MODULES = tuple(sorted(info.name for info in
 
 DELETED = ("ATOMIC_LABELS", "AmplitudeQuadruple", "DeformationParameter",
            "LadderCouplings", "UnsupportedConfigurationError",
-           "WernerParameters", "build_hamiltonian", "deformation_factor",
-           "initial_bloch", "ladder_couplings", "propagate",
-           "q_factorial_ratio", "werner_parameters")
+           "WernerParameters", "build_hamiltonian", "compare_bob_conventions",
+           "deformation_factor", "initial_bloch", "ladder_couplings",
+           "propagate", "q_factorial_ratio", "werner_parameters")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -16,7 +16,6 @@ from qdcavity import (
     circuit_teleport,
     closed_form_bob,
     coherent_weights,
-    compare_bob_conventions,
     compose,
     decompose,
     fidelity_overlap,
@@ -146,27 +145,31 @@ class TestClosedFormBob:
         self.atoms = AtomicInitialState(1.0, 0.0, 0.0, 0.0)
 
     def test_initial_channel_value(self):
+        # Over |ee> the ee branch carries the input's |e> weight |alpha|^2.
         table = amplitude_table(0.0, self.atoms, self.field, self.spec)
         unknown = UnknownQubit(alpha=0.6, beta=0.8)
         np.testing.assert_allclose(closed_form_bob(unknown, table),
-                                   [0.0, 0.0, 0.64], atol=1e-12)
+                                   [0.0, 0.0, 0.36], atol=1e-12)
 
     def test_pole_input_gives_nothing(self):
         table = amplitude_table(0.0, self.atoms, self.field, self.spec)
-        unknown = UnknownQubit(alpha=1.0, beta=0.0)
+        unknown = UnknownQubit(alpha=0.0, beta=1.0)
         np.testing.assert_allclose(closed_form_bob(unknown, table),
                                    [0.0, 0.0, 0.0], atol=1e-14)
 
     def test_matches_circuit_branch(self):
-        # The sums reproduce the ee branch carrying twice its probability.
-        unknown = UnknownQubit.from_bloch((1.0, 0.0, 0.0))
-        for t in np.linspace(0.0, 10.0, 21):
-            table = amplitude_table(t, self.atoms, self.field, self.spec)
-            channel = compose(bloch_from_table(table))
-            report = compare_bob_conventions(unknown, table, channel)
-            assert report["unnormalized"] < 1e-6
-            assert report["normalized"] > 1e-3 or report["unnormalized"] < \
-                report["normalized"]
+        # On the six poles, which tell |e> from |g>, the sums reproduce the
+        # ee branch carrying twice its probability, not its unit-trace
+        # state.
+        unknown = inputs_along(POLES)
+        table = amplitude_table(np.linspace(0.0, 10.0, 21), self.atoms,
+                                self.field, self.spec)
+        ee = circuit_teleport(compose(bloch_from_table(table)), unknown)[0]
+        analytic = closed_form_bob(unknown, table)
+        assert analytic.shape == (len(POLES), 21, 3)
+        carried = 2.0 * ee.probability[..., None] * ee.sb
+        assert np.max(np.abs(analytic - carried)) < 1e-13
+        assert np.max(np.abs(analytic - ee.sb)) > 0.5
 
 
 class TestFidelities:
@@ -214,6 +217,13 @@ unit_inputs = st.one_of(
 def input_along(direction) -> UnknownQubit:
     su = np.asarray(direction, dtype=float)
     return UnknownQubit.from_bloch(su / np.linalg.norm(su))
+
+
+def inputs_along(directions) -> UnknownQubit:
+    """The inputs along each direction, stacked on a leading axis against
+    a time axis."""
+    kets = np.array([input_along(d).ket for d in directions])[:, None]
+    return UnknownQubit(alpha=kets[..., 0], beta=kets[..., 1])
 
 
 def generated_channel(kind: int, rng) -> np.ndarray:
@@ -268,33 +278,25 @@ class TestBranchMap:
                lambda v: np.linalg.norm(v) > 1e-3),
            q=st.floats(0.0, 1.0), m=st.integers(1, 3),
            nbar=st.floats(0.0, 20.0), t=st.floats(0.0, 20.0),
-           direction=unit_inputs)
+           direction=unit_inputs,
+           others=st.lists(unit_inputs, min_size=1, max_size=3))
+    @example(parts=[1.0] + [0.0] * 7, q=0.9, m=1, nbar=10.0, t=2.5,
+             direction=(1.0, 0.0, 0.0), others=[(1.0, 0.0, 0.0)])
     def test_closed_form_bob_is_twice_the_ee_weight(self, parts, q, m, nbar,
-                                                    t, direction):
-        # closed_form_bob reads the input with |e> and |g> exchanged
-        # against the circuit: at t = 0 over |ee> it gives |beta|^2, where
-        # the circuit's ee branch carries |alpha|^2.  The two agree on the
-        # x axis, the input validate's bob-convention check uses.
+                                                    t, direction, others):
+        # closed_form_bob reads alpha on |e>, as the map and the circuit
+        # do, for one input and for a stack of them.
         atoms = np.array(parts[::2]) + 1j * np.array(parts[1::2])
         atoms = AtomicInitialState(*(atoms / np.linalg.norm(atoms)))
         field = coherent_weights(nbar, choose_cutoff(nbar, m))
         table = amplitude_table(t, atoms, field, HamiltonianSpec(m=m, q=q))
-        unknown = input_along(direction)
-        exchanged = UnknownQubit(alpha=unknown.beta, beta=unknown.alpha)
-        probability, sb = branch_map(bloch_from_table(table), exchanged.su)
-        assert np.max(np.abs(closed_form_bob(unknown, table)
-                             - 2.0 * probability[0] * sb[0])) <= 1e-13
-
-    def test_closed_form_bob_on_the_x_axis(self):
-        field = coherent_weights(10.0, choose_cutoff(10.0, 1))
-        table = amplitude_table(np.linspace(0.0, 10.0, 51),
-                                AtomicInitialState(1.0, 0.0, 0.0, 0.0), field,
-                                HamiltonianSpec(m=1, q=0.9))
-        unknown = input_along((1.0, 0.0, 0.0))
-        probability, sb = branch_map(bloch_from_table(table), unknown.su)
-        carried = 2.0 * probability[:, 0, None] * sb[:, 0]
-        assert np.max(np.abs(closed_form_bob(unknown, table)
-                             - carried)) <= 1e-13
+        for unknown in (input_along(direction),
+                        inputs_along([direction, *others])):
+            probability, sb = branch_map(bloch_from_table(table), unknown.su)
+            carried = 2.0 * probability[..., :1] * sb[..., 0, :]
+            analytic = closed_form_bob(unknown, table)
+            assert analytic.shape == carried.shape
+            assert np.max(np.abs(analytic - carried)) <= 1e-13
 
     def test_cli_columns_match_the_circuit(self):
         # This input moves 6 printed cells in their 12th digit against
