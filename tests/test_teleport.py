@@ -280,8 +280,6 @@ class TestBranchMap:
            nbar=st.floats(0.0, 20.0), t=st.floats(0.0, 20.0),
            direction=unit_inputs,
            others=st.lists(unit_inputs, min_size=1, max_size=3))
-    @example(parts=[1.0] + [0.0] * 7, q=0.9, m=1, nbar=10.0, t=2.5,
-             direction=(1.0, 0.0, 0.0), others=[(1.0, 0.0, 0.0)])
     def test_closed_form_bob_is_twice_the_ee_weight(self, parts, q, m, nbar,
                                                     t, direction, others):
         # closed_form_bob reads alpha on |e>, as the map and the circuit
@@ -297,6 +295,17 @@ class TestBranchMap:
             analytic = closed_form_bob(unknown, table)
             assert analytic.shape == carried.shape
             assert np.max(np.abs(analytic - carried)) <= 1e-13
+
+    def test_closed_form_bob_on_the_x_axis(self):
+        field = coherent_weights(10.0, choose_cutoff(10.0, 1))
+        table = amplitude_table(np.linspace(0.0, 10.0, 51),
+                                AtomicInitialState(1.0, 0.0, 0.0, 0.0), field,
+                                HamiltonianSpec(m=1, q=0.9))
+        unknown = input_along((1.0, 0.0, 0.0))
+        probability, sb = branch_map(bloch_from_table(table), unknown.su)
+        carried = 2.0 * probability[:, 0, None] * sb[:, 0]
+        assert np.max(np.abs(closed_form_bob(unknown, table)
+                             - carried)) <= 1e-13
 
     def test_cli_columns_match_the_circuit(self):
         # This input moves 6 printed cells in their 12th digit against
