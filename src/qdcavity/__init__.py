@@ -44,7 +44,6 @@ from .states import (
     purity,
 )
 from .teleport import (
-    TeleportOutcome,
     UnknownQubit,
     average_fidelity,
     branch_map,
@@ -65,7 +64,6 @@ __all__ = [
     "HamiltonianSpec",
     "PhysicalityError",
     "Propagator",
-    "TeleportOutcome",
     "TruncationError",
     "TwoQubitBlochState",
     "UnknownQubit",

@@ -6,7 +6,9 @@ Bloch vectors and cross dyadic; the CLI computes its columns with it.
 circuit_teleport is a gate-level density-matrix simulation of the
 protocol (CNOT, Hadamard, projective measurement, conditional Pauli
 correction): the independent oracle that the CLI header's self-test and
-`validate` run.  closed_form_bob assembles the ee branch's receiver
+`validate` run.  It returns the branch probabilities and receiver states
+on the map's axes, the four branches on the last stack axis in
+OUTCOME_LABELS order.  closed_form_bob assembles the ee branch's receiver
 vector, carried at twice the branch probability (2 p_ee sb_ee, as the
 map gives it), directly from the manifold amplitudes of the channel.
 All three read alpha as the amplitude on |e>.  A stack of channels, and
@@ -20,11 +22,10 @@ import numpy as np
 
 from .closedform import AmplitudeTable
 from .exact import DensityMatrix, PhysicalityError, as_matrix
-from .states import PAULI_X, PAULI_Z, TwoQubitBlochState, bloch_vector
+from .states import PAULI_X, PAULI_Z, TwoQubitBlochState
 
 __all__ = [
     "OUTCOME_LABELS",
-    "TeleportOutcome",
     "UnknownQubit",
     "average_fidelity",
     "branch_map",
@@ -38,15 +39,11 @@ OUTCOME_LABELS = ("ee", "eg", "ge", "gg")
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
-# Pauli correction per measurement outcome, fixed so the ideal maximally
-# entangled channel (|ee> + |gg>)/sqrt(2) teleports perfectly on every
-# branch.
-_CORRECTIONS = {
-    "ee": np.eye(2, dtype=complex),
-    "eg": PAULI_X,
-    "ge": PAULI_Z,
-    "gg": PAULI_Z @ PAULI_X,
-}
+# Pauli correction per measurement outcome, in OUTCOME_LABELS order,
+# fixed so the ideal maximally entangled channel (|ee> + |gg>)/sqrt(2)
+# teleports perfectly on every branch.
+_CORRECTIONS = np.stack([np.eye(2, dtype=complex), PAULI_X, PAULI_Z,
+                         PAULI_Z @ PAULI_X])
 
 
 @dataclass(frozen=True)
@@ -86,29 +83,20 @@ class UnknownQubit:
 
     @classmethod
     def from_bloch(cls, su) -> "UnknownQubit":
-        """Pure state with the given unit Bloch vector."""
-        sx, sy, sz = (float(v) for v in np.asarray(su, dtype=float))
-        norm = float(np.sqrt(sx * sx + sy * sy + sz * sz))
-        if not abs(norm - 1.0) <= 1e-9:
-            raise ValueError(f"pure input needs |su| = 1, got {norm!r}")
-        alpha = np.sqrt(max((1.0 + sz) / 2.0, 0.0))
-        if alpha < 1e-12:
-            return cls(alpha=0.0, beta=1.0)
-        beta = (sx - 1j * sy) / (2.0 * alpha)
-        state = np.array([alpha, beta], dtype=complex)
-        state = state / np.linalg.norm(state)
-        return cls(alpha=complex(state[0]), beta=complex(state[1]))
-
-
-@dataclass(frozen=True)
-class TeleportOutcome:
-    """One measurement branch: its probability, the receiver's corrected
-    (normalised) state and its Bloch vector."""
-
-    outcome_label: str
-    probability: float
-    bob_state: DensityMatrix
-    sb: np.ndarray
+        """Pure state with the given unit Bloch vector; a (..., 3) stack
+        of vectors gives a stack of inputs."""
+        sx, sy, sz = np.moveaxis(np.asarray(su, dtype=float), -1, 0)
+        norm = np.ravel(np.sqrt(sx * sx + sy * sy + sz * sz))
+        off = norm[~(np.abs(norm - 1.0) <= 1e-9)]
+        if off.size:
+            raise ValueError(f"pure input needs |su| = 1, got {float(off[0])!r}")
+        alpha = np.sqrt(np.maximum((1.0 + sz) / 2.0, 0.0))
+        pole = alpha < 1e-12
+        beta = (sx - 1j * sy) / (2.0 * np.where(pole, 1.0, alpha))
+        ket = np.stack([np.where(pole, 0.0, alpha), np.where(pole, 1.0, beta)],
+                       axis=-1)
+        ket = ket / np.linalg.norm(ket, axis=-1, keepdims=True)
+        return cls(alpha=ket[..., 0], beta=ket[..., 1])
 
 
 # CNOT with u as control and A as target, then Hadamard on u, on (u, A, B).
@@ -119,13 +107,15 @@ _UNITARY = np.kron(np.kron(_HADAMARD, np.eye(2)), np.eye(2)) \
     @ np.kron(_CNOT, np.eye(2, dtype=complex))
 
 
-def circuit_teleport(channel, unknown: UnknownQubit) -> list[TeleportOutcome]:
+def circuit_teleport(channel, unknown: UnknownQubit) -> tuple[np.ndarray, DensityMatrix]:
     """Run the full protocol on qubits (u, A, B) where (A, B) hold the
     channel: CNOT with u as control and A as target, Hadamard on u,
     measurement of (u, A) in the energy basis, then the branch's Pauli
-    correction on B.  Returns all four branches; branch states are
-    normalised.  A branch of zero probability carries the maximally
-    mixed state.  Stacks of channels and of inputs broadcast."""
+    correction on B.  Returns the probability (..., 4) and the
+    normalised receiver state (..., 4, 2, 2) of the branches, on
+    branch_map's axes; states.bloch_vector of the state gives the map's
+    sb.  A branch of zero probability carries the maximally mixed state.
+    Stacks of channels and of inputs broadcast."""
     rho_chan = as_matrix(channel)
     if rho_chan.shape[-2:] != (4, 4):
         raise PhysicalityError(f"channel must be 4x4, got {rho_chan.shape}")
@@ -138,25 +128,17 @@ def circuit_teleport(channel, unknown: UnknownQubit) -> list[TeleportOutcome]:
     rho = _UNITARY @ joint.reshape(joint.shape[:-4] + (8, 8)) \
         @ _UNITARY.conj().T
 
-    outcomes = []
-    for index, label in enumerate(OUTCOME_LABELS):
-        block = rho[..., 2 * index:2 * index + 2, 2 * index:2 * index + 2]
-        probability = np.trace(block, axis1=-2, axis2=-1).real
-        weight = probability[..., None, None]
-        occupied = weight > 1e-14
-        bob = np.where(occupied, block / np.where(occupied, weight, 1.0),
-                       np.eye(2, dtype=complex) / 2.0)
-        probability = np.maximum(probability, 0.0)
-        correction = _CORRECTIONS[label]
-        bob = correction @ bob @ correction.conj().T
-        bob_state = DensityMatrix.from_matrix(bob, positivity="warn")
-        outcomes.append(TeleportOutcome(
-            outcome_label=label,
-            probability=probability,
-            bob_state=bob_state,
-            sb=bloch_vector(bob_state),
-        ))
-    return outcomes
+    # The 2x2 diagonal blocks, one per (u, A) outcome: (..., 4, 2, 2).
+    blocks = np.moveaxis(np.diagonal(
+        rho.reshape(rho.shape[:-2] + (4, 2, 4, 2)), axis1=-4, axis2=-2), -1, -3)
+    probability = np.trace(blocks, axis1=-2, axis2=-1).real
+    weight = probability[..., None, None]
+    occupied = weight > 1e-14
+    bob = np.where(occupied, blocks / np.where(occupied, weight, 1.0),
+                   np.eye(2, dtype=complex) / 2.0)
+    bob = _CORRECTIONS @ bob @ _CORRECTIONS.conj().mT
+    return (np.maximum(probability, 0.0),
+            DensityMatrix.from_matrix(bob, positivity="warn"))
 
 
 # Sign rows of the affine branch map, one per branch in OUTCOME_LABELS
@@ -215,14 +197,14 @@ def closed_form_bob(unknown: UnknownQubit, table: AmplitudeTable) -> np.ndarray:
     return np.stack([sx, sy, sz], axis=-1)
 
 
-def fidelity_paper(su, sb) -> float:
+def fidelity_paper(su, sb) -> float | np.ndarray:
     """Quarter-normalised overlap score (1 + su . sb)/4.  With this
     normalisation a perfectly teleported pure state scores 0.5."""
     return (1.0 + np.linalg.vecdot(np.asarray(su, dtype=float),
                                    np.asarray(sb, dtype=float))) / 4.0
 
 
-def fidelity_overlap(unknown: UnknownQubit, bob_state) -> float:
+def fidelity_overlap(unknown: UnknownQubit, bob_state) -> float | np.ndarray:
     """Standard state overlap <psi_u| rho_B |psi_u> in [0, 1]."""
     rho = as_matrix(bob_state)
     ket = unknown.ket[..., :, None]
@@ -230,7 +212,7 @@ def fidelity_overlap(unknown: UnknownQubit, bob_state) -> float:
     return (ket.conj().mT @ rho @ ket).real[..., 0, 0][()]
 
 
-def average_fidelity(probability, overlap) -> float:
+def average_fidelity(probability, overlap) -> float | np.ndarray:
     """Probability-weighted overlap fidelity across the four branches,
     which run along the last axis of both arguments, added in order."""
     return sum(np.moveaxis(np.multiply(probability, overlap), -1, 0))

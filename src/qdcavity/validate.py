@@ -125,9 +125,13 @@ def ideal_channel_shortfall(unknown: teleport.UnknownQubit) -> float:
     bell = np.zeros((4, 4), dtype=complex)
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
     channel = exact.DensityMatrix.from_matrix(bell)
-    return max(float(np.max(np.abs(
-        1.0 - teleport.fidelity_overlap(unknown, outcome.bob_state))))
-        for outcome in teleport.circuit_teleport(channel, unknown))
+    _, bob_state = teleport.circuit_teleport(channel, unknown)
+    # Each input against the branch axis.
+    per_branch = teleport.UnknownQubit(
+        alpha=np.asarray(unknown.alpha)[..., None],
+        beta=np.asarray(unknown.beta)[..., None])
+    return float(np.max(np.abs(
+        1.0 - teleport.fidelity_overlap(per_branch, bob_state))))
 
 
 def check_teleport_ideal() -> CheckResult:
@@ -155,7 +159,8 @@ def check_probability_sums() -> CheckResult:
     unknown = teleport.UnknownQubit(alpha=0.6, beta=0.8)
     channels = exact.DensityMatrix.from_matrix(
         np.stack([_random_density(rng, 4) for _ in range(100)]))
-    total = sum(o.probability for o in teleport.circuit_teleport(channels, unknown))
+    probability, _ = teleport.circuit_teleport(channels, unknown)
+    total = sum(np.moveaxis(probability, -1, 0))
     worst = np.max(np.abs(total - 1.0))
     return CheckResult("teleport-probability-sum", worst < 1e-10,
                        f"worst deviation {worst:.3e}")
@@ -173,20 +178,18 @@ def check_bob_convention() -> CheckResult:
     ee branch, carried at twice its probability, along the teleportation
     sweep, for a stack of inputs spanning the Bloch ball."""
     # The inputs on a leading axis, against the sweep's time axis.
-    kets = np.array([teleport.UnknownQubit.from_bloch(
-        np.divide(corner, np.sqrt(3.0))).ket
-        for corner in TETRAHEDRON])[:, None]
-    unknown = teleport.UnknownQubit(alpha=kets[..., 0], beta=kets[..., 1])
+    unknown = teleport.UnknownQubit.from_bloch(
+        np.divide(TETRAHEDRON, np.sqrt(3.0))[:, None])
     worst = np.zeros(2)
     config = SweepConfig(q_values=(0.5, 0.9), steps=51)
     for q in config.q_values:
         table = _table(config, q)
         bloch = closedform.bloch_from_table(table)
-        ee = teleport.circuit_teleport(states.compose(bloch), unknown)[0]
-        probability, sb = teleport.branch_map(bloch, unknown.su)
-        carried = 2.0 * ee.probability[..., None] * ee.sb
+        p, bob_state = teleport.circuit_teleport(states.compose(bloch), unknown)
+        carried = 2.0 * p[..., :1] * states.bloch_vector(bob_state)[..., 0, :]
+        p, sb = teleport.branch_map(bloch, unknown.su)
         routes = (teleport.closed_form_bob(unknown, table),
-                  2.0 * probability[..., :1] * sb[..., 0, :])
+                  2.0 * p[..., :1] * sb[..., 0, :])
         worst = np.maximum(worst, [np.max(np.abs(r - carried)) for r in routes])
     return CheckResult(
         "bob-convention", max(worst) < 1e-10,

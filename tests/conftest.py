@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdcavity import (AtomicInitialState, DensityMatrix, TwoQubitBlochState,
-                      average_fidelity, fidelity_overlap, ladder_elements)
+                      ladder_elements)
 from qdcavity.states import PAULI_X, PAULI_Y, PAULI_Z
 from qdcavity.exact import deformed_lowering_power
 
@@ -40,14 +40,6 @@ def bell_phi_plus() -> DensityMatrix:
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[0, 3] = rho[3, 0] = rho[3, 3] = 0.5
     return DensityMatrix.from_matrix(rho)
-
-
-def circuit_average_fidelity(outcomes, unknown):
-    """average_fidelity over the branches circuit_teleport returned."""
-    return average_fidelity(
-        np.stack([o.probability for o in outcomes], axis=-1),
-        np.stack([fidelity_overlap(unknown, o.bob_state) for o in outcomes],
-                 axis=-1))
 
 
 def reference_decompose(rho) -> TwoQubitBlochState:

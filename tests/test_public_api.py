@@ -23,9 +23,10 @@ MODULES = tuple(sorted(info.name for info in
 
 DELETED = ("ATOMIC_LABELS", "AmplitudeQuadruple", "DeformationParameter",
            "LadderCouplings", "UnsupportedConfigurationError",
-           "WernerParameters", "build_hamiltonian", "compare_bob_conventions",
-           "deformation_factor", "initial_bloch", "ladder_couplings",
-           "propagate", "q_factorial_ratio", "werner_parameters")
+           "TeleportOutcome", "WernerParameters", "build_hamiltonian",
+           "compare_bob_conventions", "deformation_factor", "initial_bloch",
+           "ladder_couplings", "propagate", "q_factorial_ratio",
+           "werner_parameters")
 
 
 @pytest.mark.parametrize("name", MODULES)

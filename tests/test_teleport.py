@@ -10,7 +10,9 @@ from qdcavity import (
     HamiltonianSpec,
     UnknownQubit,
     amplitude_table,
+    average_fidelity,
     bloch_from_table,
+    bloch_vector,
     branch_map,
     choose_cutoff,
     circuit_teleport,
@@ -23,8 +25,8 @@ from qdcavity import (
 )
 from qdcavity import cli
 from qdcavity.sweep import sweep
-from conftest import (bell_phi_plus, circuit_average_fidelity, random_density,
-                      random_ket)
+from qdcavity.teleport import OUTCOME_LABELS
+from conftest import bell_phi_plus, random_density, random_ket
 
 RSQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -54,6 +56,15 @@ class TestUnknownQubit:
         np.testing.assert_allclose(
             UnknownQubit.from_bloch((0, 0, -1)).su, [0, 0, -1], atol=1e-14)
 
+    def test_from_bloch_takes_a_stack(self, rng):
+        su = np.array([random_unknown(rng).su for _ in range(20)] + POLES)
+        stacked = UnknownQubit.from_bloch(su.reshape(2, 13, 3))
+        assert stacked.ket.shape == (2, 13, 2)
+        assert np.array_equal(stacked.ket.reshape(-1, 2),
+                              [UnknownQubit.from_bloch(v).ket for v in su])
+        with pytest.raises(ValueError, match=r"got 1\.4142135623730951$"):
+            UnknownQubit.from_bloch([(1, 0, 0), (1, 1, 0)])
+
     def test_rejects_unnormalised(self):
         with pytest.raises(ValueError):
             UnknownQubit(alpha=1.0, beta=1.0)
@@ -70,20 +81,19 @@ class TestCircuit:
         channel = bell_phi_plus()
         for _ in range(50):
             unknown = random_unknown(rng)
-            outcomes = circuit_teleport(channel, unknown)
-            assert sum(o.probability for o in outcomes) == pytest.approx(
+            probability, bob_state = circuit_teleport(channel, unknown)
+            assert sum(probability) == pytest.approx(1.0, abs=1e-10)
+            assert probability == pytest.approx(0.25, abs=1e-12)
+            assert fidelity_overlap(unknown, bob_state) == pytest.approx(
                 1.0, abs=1e-10)
-            for outcome in outcomes:
-                assert outcome.probability == pytest.approx(0.25, abs=1e-12)
-                assert fidelity_overlap(unknown, outcome.bob_state) == \
-                    pytest.approx(1.0, abs=1e-10)
 
     def test_uncorrelated_channel(self):
         channel = DensityMatrix.from_matrix(np.eye(4, dtype=complex) / 4.0)
         unknown = UnknownQubit(alpha=RSQRT2, beta=RSQRT2)
-        for outcome in circuit_teleport(channel, unknown):
-            np.testing.assert_allclose(outcome.bob_state.matrix,
-                                       np.eye(2) / 2.0, atol=1e-12)
+        _, bob_state = circuit_teleport(channel, unknown)
+        np.testing.assert_allclose(
+            bob_state.matrix, np.broadcast_to(np.eye(2) / 2.0, (4, 2, 2)),
+            atol=1e-12)
 
     def test_product_channel_regression(self, rng):
         # |ee><ee| channel: the receiver ends in |e><e| before correction
@@ -91,28 +101,27 @@ class TestCircuit:
         # the poles and every overlap with an equatorial input is 1/2.
         channel = DensityMatrix.from_matrix(np.diag([1.0, 0, 0, 0]))
         unknown = UnknownQubit(alpha=RSQRT2, beta=RSQRT2)
-        outcomes = circuit_teleport(channel, unknown)
+        probability, bob_state = circuit_teleport(channel, unknown)
         expected_sb = {"ee": [0, 0, 1], "eg": [0, 0, -1],
                        "ge": [0, 0, 1], "gg": [0, 0, -1]}
-        for outcome in outcomes:
-            assert outcome.probability == pytest.approx(0.25, abs=1e-12)
-            np.testing.assert_allclose(outcome.sb,
-                                       expected_sb[outcome.outcome_label],
-                                       atol=1e-12)
-        assert circuit_average_fidelity(outcomes, unknown) == pytest.approx(
-            0.5, abs=1e-12)
+        assert probability == pytest.approx(0.25, abs=1e-12)
+        np.testing.assert_allclose(
+            bloch_vector(bob_state),
+            [expected_sb[label] for label in OUTCOME_LABELS], atol=1e-12)
+        assert average_fidelity(
+            probability, fidelity_overlap(unknown, bob_state)) == \
+            pytest.approx(0.5, abs=1e-12)
         # input independence of the branch poles
-        other = random_unknown(rng)
-        for outcome in circuit_teleport(channel, other):
-            assert abs(abs(outcome.sb[2]) - 1.0) < 1e-12
+        _, bob_state = circuit_teleport(channel, random_unknown(rng))
+        assert np.all(np.abs(np.abs(bloch_vector(bob_state)[:, 2]) - 1.0)
+                      < 1e-12)
 
     def test_probabilities_sum_to_one(self, rng):
         unknown = UnknownQubit(alpha=0.6, beta=0.8)
         for _ in range(100):
             channel = DensityMatrix.from_matrix(random_density(rng, 4))
-            outcomes = circuit_teleport(channel, unknown)
-            assert sum(o.probability for o in outcomes) == pytest.approx(
-                1.0, abs=1e-10)
+            probability, _ = circuit_teleport(channel, unknown)
+            assert sum(probability) == pytest.approx(1.0, abs=1e-10)
 
     def test_affine_in_channel(self, rng):
         # Probability-weighted branch states mix linearly with the channel.
@@ -120,16 +129,21 @@ class TestCircuit:
         rho1, rho2 = random_density(rng, 4), random_density(rng, 4)
         p = 0.3
         mixed = DensityMatrix.from_matrix(p * rho1 + (1 - p) * rho2)
-        parts = [circuit_teleport(DensityMatrix.from_matrix(r), unknown)
-                 for r in (rho1, rho2)]
-        for k, outcome in enumerate(circuit_teleport(mixed, unknown)):
-            combined = (p * parts[0][k].probability
-                        * parts[0][k].bob_state.matrix
-                        + (1 - p) * parts[1][k].probability
-                        * parts[1][k].bob_state.matrix)
-            np.testing.assert_allclose(
-                outcome.probability * outcome.bob_state.matrix, combined,
-                atol=1e-12)
+
+        def weighted(channel):
+            probability, bob_state = circuit_teleport(channel, unknown)
+            return probability[:, None, None] * bob_state.matrix
+
+        combined = (p * weighted(DensityMatrix.from_matrix(rho1))
+                    + (1 - p) * weighted(DensityMatrix.from_matrix(rho2)))
+        np.testing.assert_allclose(weighted(mixed), combined, atol=1e-12)
+
+    def test_oracle_keeps_its_own_gates(self):
+        # The circuit checks the map, so neither reads the other's tables.
+        assert {"branch_map", "_ETA", "_FLIP", "closed_form_bob"}.isdisjoint(
+            circuit_teleport.__code__.co_names)
+        assert {"_UNITARY", "_CORRECTIONS"}.isdisjoint(
+            branch_map.__code__.co_names)
 
     def test_rejects_unphysical_channel(self):
         with pytest.raises(Exception):
@@ -164,12 +178,14 @@ class TestClosedFormBob:
         unknown = inputs_along(POLES)
         table = amplitude_table(np.linspace(0.0, 10.0, 21), self.atoms,
                                 self.field, self.spec)
-        ee = circuit_teleport(compose(bloch_from_table(table)), unknown)[0]
+        p, bob_state = circuit_teleport(compose(bloch_from_table(table)),
+                                        unknown)
+        sb = bloch_vector(bob_state)[..., 0, :]
         analytic = closed_form_bob(unknown, table)
         assert analytic.shape == (len(POLES), 21, 3)
-        carried = 2.0 * ee.probability[..., None] * ee.sb
+        carried = 2.0 * p[..., :1] * sb
         assert np.max(np.abs(analytic - carried)) < 1e-13
-        assert np.max(np.abs(analytic - ee.sb)) > 0.5
+        assert np.max(np.abs(analytic - sb)) > 0.5
 
 
 class TestFidelities:
@@ -186,9 +202,10 @@ class TestFidelities:
 
     def test_average_on_ideal_channel(self, rng):
         unknown = random_unknown(rng)
-        outcomes = circuit_teleport(bell_phi_plus(), unknown)
-        assert circuit_average_fidelity(outcomes, unknown) == pytest.approx(
-            1.0, abs=1e-10)
+        probability, bob_state = circuit_teleport(bell_phi_plus(), unknown)
+        assert average_fidelity(
+            probability, fidelity_overlap(unknown, bob_state)) == \
+            pytest.approx(1.0, abs=1e-10)
 
     def test_paper_score_capped_at_half(self):
         # Over the standard teleportation sweep the quarter-normalised
@@ -215,15 +232,16 @@ unit_inputs = st.one_of(
 
 
 def input_along(direction) -> UnknownQubit:
+    """The input along a direction, or along each of a stack of them."""
     su = np.asarray(direction, dtype=float)
-    return UnknownQubit.from_bloch(su / np.linalg.norm(su))
+    return UnknownQubit.from_bloch(
+        su / np.linalg.norm(su, axis=-1, keepdims=True))
 
 
 def inputs_along(directions) -> UnknownQubit:
     """The inputs along each direction, stacked on a leading axis against
     a time axis."""
-    kets = np.array([input_along(d).ket for d in directions])[:, None]
-    return UnknownQubit(alpha=kets[..., 0], beta=kets[..., 1])
+    return input_along(np.asarray(directions, dtype=float)[:, None])
 
 
 def generated_channel(kind: int, rng) -> np.ndarray:
@@ -258,13 +276,12 @@ class TestBranchMap:
         unknown = input_along(direction)
         probability, sb = branch_map(decompose(channels), unknown.su)
         assert probability.shape == channels.shape[:-2] + (4,)
-        for k, outcome in enumerate(circuit_teleport(channels, unknown)):
-            assert np.max(np.abs(probability[..., k]
-                                 - outcome.probability)) <= 1e-13
-            assert np.max(np.abs(sb[..., k, :] - outcome.sb)) <= 1e-13
-            overlap = (1.0 + np.linalg.vecdot(sb[..., k, :], unknown.su)) / 2.0
-            circuit = fidelity_overlap(unknown, outcome.bob_state)
-            assert np.max(np.abs(overlap - circuit)) <= 1e-13
+        circuit_p, bob_state = circuit_teleport(channels, unknown)
+        assert np.max(np.abs(probability - circuit_p)) <= 1e-13
+        assert np.max(np.abs(sb - bloch_vector(bob_state))) <= 1e-13
+        overlap = (1.0 + np.linalg.vecdot(sb, unknown.su)) / 2.0
+        circuit = fidelity_overlap(unknown, bob_state)
+        assert np.max(np.abs(overlap - circuit)) <= 1e-13
 
     def test_zero_probability_branches_are_mixed(self):
         # |ee> with the input |e>: the eg and gg branches never occur.
@@ -320,14 +337,16 @@ class TestBranchMap:
         unknown = config.unknown_qubit()
         expected = []
         for _, times, bloch, _ in sweep(config):
-            outcomes = circuit_teleport(compose(bloch), unknown)
-            average = circuit_average_fidelity(outcomes, unknown)
-            columns = [np.stack([
-                o.probability,
-                fidelity_paper(unknown.su, 2.0 * o.probability[:, None] * o.sb),
-                fidelity_overlap(unknown, o.bob_state),
-                average], axis=-1) for o in outcomes]
-            expected.append(np.stack(columns, axis=1).reshape(-1, 4))
+            probability, bob_state = circuit_teleport(compose(bloch), unknown)
+            overlap = fidelity_overlap(unknown, bob_state)
+            weighted = 2.0 * probability[..., None] * bloch_vector(bob_state)
+            average = average_fidelity(probability, overlap)
+            columns = np.stack([
+                probability,
+                fidelity_paper(unknown.su, weighted),
+                overlap,
+                np.broadcast_to(average[:, None], probability.shape)], axis=-1)
+            expected.append(columns.reshape(-1, 4))
         expected = np.concatenate(expected)
         printed = np.array([[float(v) for v in row[3:]] for row in rows])
         assert printed.shape == expected.shape == (1608, 4)

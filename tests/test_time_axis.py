@@ -15,6 +15,7 @@ from qdcavity import (
     TwoQubitBlochState,
     UnknownQubit,
     amplitude_table,
+    average_fidelity,
     bloch_from_table,
     bloch_vector,
     choose_cutoff,
@@ -33,7 +34,7 @@ from qdcavity import (
     reduced_atomic_state,
 )
 from qdcavity.states import max_deviation
-from conftest import circuit_average_fidelity, random_density, random_ket
+from conftest import random_density, random_ket
 from test_closedform import explicit_last
 
 REAL_KET = UnknownQubit(alpha=1.0 / np.sqrt(2.0), beta=1.0 / np.sqrt(2.0))
@@ -260,27 +261,23 @@ class TestTeleport:
         times, atoms, field, spec = closed_sweep
         table = amplitude_table(times, atoms, field, spec)
         channel = compose(bloch_from_table(table))
-        outcomes = circuit_teleport(channel, unknown)
+        probability, bob_state = circuit_teleport(channel, unknown)
         single_tables = [amplitude_table(t, atoms, field, spec) for t in times]
-        single_outcomes = [
-            circuit_teleport(compose(bloch_from_table(s)), unknown)
-            for s in single_tables]
-        for index, outcome in enumerate(outcomes):
-            branch = [o[index] for o in single_outcomes]
-            assert outcome.outcome_label == branch[0].outcome_label
-            assert_per_point(outcome.probability, [b.probability for b in branch])
-            assert_per_point(outcome.bob_state.matrix,
-                             [b.bob_state.matrix for b in branch])
-            assert_per_point(outcome.sb, [b.sb for b in branch])
-            assert_per_point(fidelity_overlap(unknown, outcome.bob_state),
-                             [fidelity_overlap(unknown, b.bob_state)
-                              for b in branch])
-            weighted = 2.0 * outcome.probability[:, None] * outcome.sb
-            assert_per_point(fidelity_paper(unknown.su, weighted),
-                             [fidelity_paper(unknown.su, w) for w in weighted])
-        assert_per_point(circuit_average_fidelity(outcomes, unknown),
-                         [circuit_average_fidelity(o, unknown)
-                          for o in single_outcomes])
+        singles = [circuit_teleport(compose(bloch_from_table(s)), unknown)
+                   for s in single_tables]
+        assert_per_point(probability, [p for p, _ in singles])
+        assert_per_point(bob_state.matrix, [b.matrix for _, b in singles])
+        sb = bloch_vector(bob_state)
+        assert_per_point(sb, [bloch_vector(b) for _, b in singles])
+        overlap = fidelity_overlap(unknown, bob_state)
+        assert_per_point(overlap, [fidelity_overlap(unknown, b)
+                                   for _, b in singles])
+        weighted = 2.0 * probability[..., None] * sb
+        assert_per_point(fidelity_paper(unknown.su, weighted),
+                         [fidelity_paper(unknown.su, w) for w in weighted])
+        assert_per_point(average_fidelity(probability, overlap),
+                         [average_fidelity(p, fidelity_overlap(unknown, b))
+                          for p, b in singles])
         assert_per_point(closed_form_bob(unknown, table),
                          [closed_form_bob(unknown, s) for s in single_tables])
 
@@ -291,14 +288,12 @@ class TestTeleport:
         ee[0, 0] = 1.0
         channels = np.array([random_density(rng, 4), ee, random_density(rng, 4)])
         unknown = UnknownQubit(alpha=1.0, beta=0.0)
-        stacked = circuit_teleport(channels, unknown)
-        for index, outcome in enumerate(stacked):
-            singles = [circuit_teleport(c, unknown)[index] for c in channels]
-            assert_per_point(outcome.probability, [s.probability for s in singles])
-            assert_per_point(outcome.bob_state.matrix,
-                             [s.bob_state.matrix for s in singles])
-        assert stacked[3].probability[1] == 0.0
-        assert np.array_equal(stacked[3].bob_state.matrix[1], np.eye(2) / 2.0)
+        probability, bob_state = circuit_teleport(channels, unknown)
+        singles = [circuit_teleport(c, unknown) for c in channels]
+        assert_per_point(probability, [p for p, _ in singles])
+        assert_per_point(bob_state.matrix, [b.matrix for _, b in singles])
+        assert probability[1, 3] == 0.0
+        assert np.array_equal(bob_state.matrix[1, 3], np.eye(2) / 2.0)
 
     @pytest.mark.parametrize("stacked_channel", [False, True],
                              ids=["one-channel", "channel-per-input"])
@@ -312,22 +307,24 @@ class TestTeleport:
             channels[k] if stacked_channel else channels, single)
             for k, single in enumerate(singles)]
         assert_per_point(inputs.su, [single.su for single in singles])
-        for index, outcome in enumerate(circuit_teleport(channels, inputs)):
-            branch = [o[index] for o in per_input]
-            assert_per_point(outcome.probability,
-                             [b.probability for b in branch])
-            assert_per_point(outcome.bob_state.matrix,
-                             [b.bob_state.matrix for b in branch])
-            assert_per_point(outcome.sb, [b.sb for b in branch])
-            assert_per_point(fidelity_overlap(inputs, outcome.bob_state),
-                             [fidelity_overlap(single, b.bob_state)
-                              for single, b in zip(singles, branch)])
+        probability, bob_state = circuit_teleport(channels, inputs)
+        assert_per_point(probability, [p for p, _ in per_input])
+        assert_per_point(bob_state.matrix, [b.matrix for _, b in per_input])
+        assert_per_point(bloch_vector(bob_state),
+                         [bloch_vector(b) for _, b in per_input])
+        # Each input against the branch axis.
+        per_branch = UnknownQubit(alpha=kets[:, None, 0], beta=kets[:, None, 1])
+        assert_per_point(fidelity_overlap(per_branch, bob_state),
+                         [fidelity_overlap(single, b)
+                          for single, (_, b) in zip(singles, per_input)])
 
     def test_scalar_channel_keeps_unstacked_types(self, rng):
-        outcomes = circuit_teleport(random_density(rng, 4), REAL_KET)
-        for outcome in outcomes:
-            assert isinstance(outcome.probability, float)
-            assert outcome.sb.shape == (3,)
-            value = fidelity_overlap(REAL_KET, outcome.bob_state)
-            assert isinstance(value, float) and not isinstance(value, np.ndarray)
-        assert isinstance(circuit_average_fidelity(outcomes, REAL_KET), float)
+        # One channel and one input: only the branch axis.
+        probability, bob_state = circuit_teleport(random_density(rng, 4),
+                                                  REAL_KET)
+        assert probability.shape == (4,)
+        assert bob_state.matrix.shape == (4, 2, 2)
+        assert bloch_vector(bob_state).shape == (4, 3)
+        overlap = fidelity_overlap(REAL_KET, bob_state)
+        assert overlap.shape == (4,)
+        assert isinstance(average_fidelity(probability, overlap), float)
