@@ -66,12 +66,8 @@ class AmplitudeTable:
         ee_gg, eg_ge) into correlations (6, [T]).  These pair amplitudes on
         one photon number: flipping one atom shifts the manifold index by m,
         flipping both by 2m (eg/ge stays inside one manifold)."""
+        self._populations_into(populations, work)
         c, m = self.c, self.m
-        real, imag = _scratch(work, c.shape[:-2] + c.shape[-1:], 2, float)
-        for i in range(4):
-            np.add(np.square(c[..., i, :].real, out=real),
-                   np.square(c[..., i, :].imag, out=imag), out=real)
-            np.add.reduce(real, axis=-1, out=populations[i, ...])
         for k, (i, j, shift) in enumerate(_PAIRS):
             shift *= m
             n = c.shape[-1] - shift
@@ -81,9 +77,20 @@ class AmplitudeTable:
             np.multiply(c[..., i, shift:], np.conj(c[..., j, :n], out=conj),
                         out=product)
             np.add.reduce(product, axis=-1, out=correlations[k, ...])
-        for sums, forms in zip((populations, correlations), self.tail or ()):
-            for k, form in enumerate(forms):
-                sums[k, ...] += self._tail_sum(form)
+        for k, form in enumerate(self.tail[1] if self.tail else ()):
+            correlations[k, ...] += self._tail_sum(form)
+
+    def _populations_into(self, populations: np.ndarray, work: np.ndarray) -> None:
+        """The populations half of reduce_into, which total_weight reads
+        alone."""
+        c = self.c
+        real, imag = _scratch(work, c.shape[:-2] + c.shape[-1:], 2, float)
+        for i in range(4):
+            np.add(np.square(c[..., i, :].real, out=real),
+                   np.square(c[..., i, :].imag, out=imag), out=real)
+            np.add.reduce(real, axis=-1, out=populations[i, ...])
+        for k, form in enumerate(self.tail[0] if self.tail else ()):
+            populations[k, ...] += self._tail_sum(form)
 
     def _tail_sum(self, form: np.ndarray) -> np.ndarray:
         return np.vecdot(self.reals, np.vecdot(self.reals[..., None, :], form))
@@ -100,7 +107,13 @@ class AmplitudeTable:
 
     @property
     def total_weight(self) -> float:
-        return np.sum(self.populations, axis=0)
+        """sum_i populations[i], from the populations alone: the six
+        correlations are not formed."""
+        shape = self.c.shape[:-2]
+        populations = np.empty((4, *shape))
+        self._populations_into(
+            populations, workspace(math.prod(shape), self.c.shape[-1]))
+        return np.sum(populations, axis=0)
 
 
 @functools.lru_cache(maxsize=128)

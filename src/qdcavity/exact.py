@@ -10,10 +10,14 @@ Atomic basis order is ee, eg, ge, gg with the excited level first.
 Evolving to a 1-D array of times gives stacked states, density matrices
 and reductions, with the times on the leading axis.  Propagator.evolve
 writes the evolved amplitudes into a caller's buffer when given one,
-which is how sweep.sweep reuses one buffer for every chunk of a sweep;
-each stack's phases are exponentiated and weighted in place.
+which is how sweep.sweep reuses one buffer for every chunk of a sweep,
+and works in a caller's scratch when given one, which sweep.sweep keeps
+for each q.  Each stack's phases are formed from the real angles -E t
+as cosines and sines, weighted in place, and turned back by one matmul;
+the full manifolds are written back by one slice per level.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +154,9 @@ class CompositeState:
             raise ValueError(
                 f"expected shape (..., 4, {self.cutoff + 1}), got {amp.shape}"
             )
-        norm_dev = np.max(np.abs(np.linalg.norm(amp, axis=(-2, -1)) - 1.0))
+        # One pass per stacked state: its float view dotted with itself.
+        cells = np.ascontiguousarray(amp).reshape(amp.shape[:-2] + (-1,)).view(float)
+        norm_dev = np.max(np.abs(np.sqrt(np.vecdot(cells, cells)) - 1.0))
         if not norm_dev <= _NORM_TOL:
             raise ValueError(f"composite state norm off 1 by {norm_dev:.3e}")
 
@@ -204,14 +210,23 @@ def _block_stacks(spec: HamiltonianSpec, cutoff: int) -> list:
     return stacks
 
 
+def _column_runs(flat: np.ndarray):
+    """One slice per column of a stack's flat indices when every column
+    is a run of consecutive indices, else None: the full manifolds
+    n = 0, 1, ... hold level i at photon numbers shift_i + n."""
+    runs = tuple(slice(start, start + len(flat)) for start in flat[0])
+    return runs if all(np.array_equal(column, np.arange(run.start, run.stop))
+                       for column, run in zip(flat.T, runs)) else None
+
+
 class Propagator:
     """Spectral block propagator for one (spec, cutoff) pair.
 
     One stack per block size, built from its indices (memory linear in
     the cutoff) and eigendecomposed once; the stacks are immutable after
     construction, and evolve keeps no buffer between calls (an out=
-    buffer belongs to its caller), so a single instance may be shared
-    across threads and evolution times.
+    buffer and a work= scratch belong to their caller), so a single
+    instance may be shared across threads and evolution times.
     """
 
     def __init__(self, spec: HamiltonianSpec, cutoff: int):
@@ -220,52 +235,94 @@ class Propagator:
                 f"cutoff {cutoff} cannot hold one full manifold (need >= {2 * spec.m})"
             )
         self.cutoff = cutoff
-        self._stacks = [(flat, *np.linalg.eigh(blocks))
-                        for flat, blocks in _block_stacks(spec, cutoff)]
+        # (flat, eigvals, eigvecs, runs) per block size, the full manifolds
+        # first: evolve forms their phases in out, which their own slice
+        # writes overwrite before the edge stacks write theirs.
+        self._stacks = [(flat, *np.linalg.eigh(blocks), _column_runs(flat))
+                        for flat, blocks in reversed(_block_stacks(spec, cutoff))]
+        assert self._stacks[0][3] is not None, "full manifolds are not runs"
 
     def coefficients(self, state: CompositeState) -> list:
         """V^H psi0 per stack, (B, k, 1): what evolve reads of the state,
         and takes as coefficients= when many calls evolve one state."""
         psi0 = state.amplitudes.reshape(-1)
         return [eigvecs.conj().mT @ psi0[flat][:, :, None]
-                for flat, _, eigvecs in self._stacks]
+                for flat, _, eigvecs, _ in self._stacks]
 
-    def evolve(self, state: CompositeState, t, *, out=None,
+    def evolve(self, state: CompositeState, t, *, out=None, work=None,
                coefficients=None) -> CompositeState:
         """psi(t) = exp(-i H t) psi(0), H and t in units of lambda and
         1/lambda, one stack of blocks at a time, at one time t or at each
-        time of a 1-D array (a stack of states).
+        time of a 1-D array (a stack of states).  Per stack, the phases
+        are cos(-E t) + i sin(-E t) of the real angles -E t, which gives
+        the amplitudes of exp(-1j * E * t) bit for bit; they are weighted
+        by the coefficients and turned back by the eigenvectors, and the
+        full manifolds are written by one slice copy per level, the edge
+        stacks by their flat indices.
 
         The amplitudes are written into out when it is given: a
         caller-owned C-contiguous complex array of shape
         t.shape + (4, cutoff + 1), apart from the state's amplitudes,
-        which the returned state wraps.  A wrong out raises before
-        anything is written."""
+        which the returned state wraps.  work is a caller-owned scratch
+        for the full manifolds' product with the eigenvectors, whose
+        phases are formed in out: a C-contiguous complex array of at
+        least out's size, apart from out and the state.  Either is
+        allocated per call when None; a wrong one raises before anything
+        is written."""
         t = np.asarray(t, dtype=float)
         if not np.all(t >= 0):
             raise ValueError("evolution time must be nonnegative")
         if state.cutoff != self.cutoff:
             raise ConfigurationError("state cutoff does not match propagator")
         shape = t.shape + (4, self.cutoff + 1)
-        if out is None:
-            out = np.empty(shape, dtype=complex)
-        elif (out.shape != shape or out.dtype != complex
-              or not out.flags.c_contiguous
-              or np.may_share_memory(out, state.amplitudes)):
+        size = math.prod(shape)
+        if out is not None and (
+                out.shape != shape or out.dtype != complex
+                or not out.flags.c_contiguous
+                or np.may_share_memory(out, state.amplitudes)):
             raise ValueError(f"out must be a C-contiguous complex array of "
                              f"shape {shape} apart from the state, got "
                              f"{out.dtype} {out.shape}")
+        if work is not None and (
+                work.dtype != complex or work.size < size
+                or not work.flags.c_contiguous
+                or np.may_share_memory(work, state.amplitudes)
+                or out is not None and np.may_share_memory(work, out)):
+            raise ValueError(f"work must be a C-contiguous complex array of "
+                             f"at least {size} cells apart from out and "
+                             f"the state, got {work.dtype} {work.shape}")
+        out = np.empty(shape, dtype=complex) if out is None else out
+        work = np.empty(size, dtype=complex) if work is None else work
         coefficients = coefficients or self.coefficients(state)
-        amps = out.reshape(t.shape + (-1,))
-        for (flat, eigvals, eigvecs), weights in zip(self._stacks, coefficients):
-            # Phases per time, ([T,] B, k, 1), exponentiated and weighted in
-            # place; V phases is the one other array (numpy copies a matmul
-            # operand that the output overlaps).
-            phases = np.empty(t.shape + weights.shape, dtype=complex)
-            np.multiply(-1j * eigvals, t[..., None, None], out=phases[..., 0])
-            np.exp(phases, out=phases)
+        amps, work = out.reshape(t.shape + (-1,)), work.reshape(-1)
+        minus_t = -t[..., None, None]
+        for (flat, eigvals, eigvecs, runs), weights in zip(self._stacks,
+                                                            coefficients):
+            # Phases per time, ([T,] B, k, 1), and V phases in separate
+            # memory (numpy copies a matmul operand that the output
+            # overlaps): for the full manifolds, the front of out and of
+            # work; for the 2m-block edge stacks, one small array.  The
+            # real angles sit in the product's cells until it overwrites
+            # them.
+            stack = t.shape + weights.shape
+            cells = math.prod(stack)
+            if runs is None:
+                phases, product = np.empty((2,) + stack, dtype=complex)
+            else:
+                phases = out.reshape(-1)[:cells].reshape(stack)
+                product = work[:cells].reshape(stack)
+            angle = product.reshape(-1).view(float)[:cells].reshape(
+                t.shape + eigvals.shape)
+            np.multiply(eigvals, minus_t, out=angle)
+            np.cos(angle, out=phases.real[..., 0])
+            np.sin(angle, out=phases.imag[..., 0])
             np.multiply(phases, weights, out=phases)
-            amps[..., flat] = (eigvecs @ phases)[..., 0]
+            np.matmul(eigvecs, phases, out=product)
+            if runs is None:
+                amps[..., flat] = product[..., 0]
+            else:
+                for level, run in enumerate(runs):
+                    amps[..., run] = product[..., level, 0]
         return CompositeState(self.cutoff, out)
 
 

@@ -120,10 +120,11 @@ def sweep(config: SweepConfig):
     engine "closed").  Inside a block the engines run in kernel chunks of
     CHUNK_CELLS // width times (X + 1 closed, cutoff + 1 exact), writing
     their amplitudes into one buffer per sweep, with what time does not
-    change formed once per q (kernel_factors, Propagator.coefficients)
-    and dropped after its last block.  The closed form works in one
-    workspace per sweep and reduces each chunk into the block's rows,
-    read once per block; the exact engine's reduced 4x4 states are joined."""
+    change formed once per q (kernel_factors, Propagator.coefficients and
+    evolve's scratch) and dropped after its last block.  The closed form
+    works in one workspace per sweep and reduces each chunk into the
+    block's rows, read once per block; the exact engine's reduced 4x4
+    states are joined."""
     field = config.field()
     atoms = config.atomic_state()
     full = field.cutoff + 1
@@ -140,6 +141,8 @@ def sweep(config: SweepConfig):
         propagator = exact.Propagator(spec, field.cutoff) if propagate else None
         factors = closedform.kernel_factors(atoms, field, spec) if closed else None
         coefficients = propagator.coefficients(initial) if propagate else None
+        # evolve's scratch for the widest exact chunk, of cells // full times.
+        scratch = np.empty(4 * full * (cells // full), complex) if propagate else None
         for block in blocks:
             bloch = None
             if closed:
@@ -156,10 +159,10 @@ def sweep(config: SweepConfig):
                 del sums
             reduced = _join_states([exact.reduced_atomic_state(propagator.evolve(
                 initial, times, out=buffer[:4 * full * len(times)].reshape(
-                    -1, 4, full), coefficients=coefficients))
+                    -1, 4, full), work=scratch, coefficients=coefficients))
                 for times in algebra.time_chunks(block, full)]) if propagate else None
             if block is blocks[-1]:
-                propagator = factors = coefficients = None
+                propagator = factors = coefficients = scratch = None
             yield q, block, bloch, reduced
 
 

@@ -648,14 +648,17 @@ class TestTimeChunks:
     def test_blocks_share_one_state_buffer(self, engine, monkeypatch):
         # Cutoff 627: 256-time blocks of 6-time exact chunks, each q's
         # initial state projected on its eigenvectors once, all in the one
-        # buffer of 4 x CHUNK_CELLS cells.
-        buffers, projections = [], []
+        # buffer of 4 x CHUNK_CELLS cells, each q's chunks working in one
+        # scratch sized for the 6-time chunk.
+        buffers, projections, works = [], [], []
         evolve = exact.Propagator.evolve
 
-        def recording(self, state, t, *, out, coefficients):
+        def recording(self, state, t, *, out, work, coefficients):
             buffers.append(out)
             projections.append(coefficients)
-            return evolve(self, state, t, out=out, coefficients=coefficients)
+            works.append(work)
+            return evolve(self, state, t, out=out, work=work,
+                          coefficients=coefficients)
 
         monkeypatch.setattr(exact.Propagator, "evolve", recording)
         config = SweepConfig(engine=engine, q_values=(0.5, 0.9), nbar=400.0,
@@ -668,6 +671,11 @@ class TestTimeChunks:
         assert buffers[0].base.shape == (4 * self.WIDEST,)
         assert all(c is projections[0] for c in projections[:51])
         assert all(c is projections[51] for c in projections[51:])
+        first, second = works[0], works[51]
+        assert all(work is first for work in works[:51])
+        assert all(work is second for work in works[51:])
+        assert second is not first and first.shape == (6 * 4 * 628,)
+        assert not any(np.shares_memory(first, out) for out in buffers)
 
     def test_chunks_cover_the_grid_once(self, monkeypatch):
         monkeypatch.setattr(algebra, "CHUNK_CELLS", 7 * 60)

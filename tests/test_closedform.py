@@ -18,8 +18,8 @@ from qdcavity import (
     initial_composite_state,
     reduced_atomic_state,
 )
-from qdcavity.closedform import (Reduction, _cached_couplings, bloch_from_table,
-                                 kernel_factors)
+from qdcavity.closedform import (AmplitudeTable, Reduction, _cached_couplings,
+                                 bloch_from_table, kernel_factors)
 from qdcavity.sweep import SweepConfig, sweep
 from conftest import (normalized_atoms, random_ket, reference_amplitude_arrays,
                       reference_reductions)
@@ -109,6 +109,22 @@ class TestNormalization:
             for t in np.linspace(0.0, 10.0, 21):
                 table = amplitude_table(t, atoms, field, spec)
                 assert table.total_weight == pytest.approx(1.0, abs=1e-9)
+
+    def test_total_weight_reads_the_populations_alone(self, rng, monkeypatch):
+        # The populations of the full reduction, tail grams included, bit
+        # for bit, with no correlation formed: reduce_into never runs.
+        field, spec = standard_config(q=0.5, m=1, nbar=400.0)
+        atoms, times = random_atoms(rng), np.linspace(0.0, 20.0, 6)
+        expected = np.sum(amplitude_table(times, atoms, field, spec).populations, 0)
+        table = amplitude_table(times, atoms, field, spec)
+        assert table.tail is not None
+
+        def reduce_into(*args):
+            raise AssertionError("total_weight ran the whole reduction")
+
+        monkeypatch.setattr(AmplitudeTable, "reduce_into", reduce_into)
+        assert same_bits(table.total_weight, expected)
+        assert "_reduction" not in vars(table)
 
     def test_tail_manifolds_carry_the_low_fock_states(self, rng):
         # With general amplitudes the eg/ge/gg populations on Fock states

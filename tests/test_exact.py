@@ -223,6 +223,43 @@ class TestPropagate:
                                   expected)
             assert np.array_equal(evolved.reshape(-1), expected)
 
+    def test_matches_per_block_loop_at_cutoff_627(self, rng):
+        # nbar 400 at m = 1: 626 full manifolds, 2 three-level and 2
+        # one-level blocks, the latter with eigenvalue exactly 0.  The
+        # reference evolves each block on its own, from its own eigh, with
+        # np.exp(-1j * eigvals * t); the stacked phases, formed as cosines
+        # and sines, and the slice writes must give the same bits, with a
+        # caller's scratch or without.
+        spec = HamiltonianSpec(1, 0.8)
+        cutoff = choose_cutoff(400.0, 1)
+        assert cutoff == 627
+        blocks = [(members, *np.linalg.eigh(block))
+                  for flat, stack in _block_stacks(spec, cutoff)
+                  for members, block in zip(flat, stack)]
+        zeros = [eigvals for members, eigvals, _ in blocks if len(members) == 1]
+        assert len(zeros) == 2 and not np.any(zeros)
+        amps = (rng.normal(size=(4, cutoff + 1))
+                + 1j * rng.normal(size=(4, cutoff + 1)))
+        state = CompositeState(cutoff, amps / np.linalg.norm(amps))
+        prop = Propagator(spec, cutoff)
+        times = np.array([0.0, 0.3, 2.7, 11.0, 20.0, 57.3])
+        work = np.empty(6 * 4 * (cutoff + 1), dtype=complex)
+        coefficients = prop.coefficients(state)
+        stacks = (prop.evolve(state, times),
+                  prop.evolve(state, times, work=work),
+                  prop.evolve(state, times, work=work, coefficients=coefficients))
+        for i, t in enumerate(times):
+            expected = state.amplitudes.reshape(-1).copy()
+            for members, eigvals, eigvecs in blocks:
+                phases = np.exp(-1j * eigvals * t)
+                expected[members] = eigvecs @ (
+                    phases * (eigvecs.conj().T @ expected[members]))
+            for stack in stacks:
+                assert np.array_equal(stack.amplitudes[i].reshape(-1), expected)
+            for scratch in (None, work[:4 * (cutoff + 1)]):
+                single = prop.evolve(state, t, work=scratch)
+                assert np.array_equal(single.amplitudes.reshape(-1), expected)
+
     def test_rejects_negative_time(self):
         field = coherent_weights(0.0, 2)
         spec = HamiltonianSpec()
@@ -312,3 +349,21 @@ class TestReducedState:
     def test_rejects_bad_composite(self):
         with pytest.raises(ValueError):
             CompositeState(2, np.ones((4, 3), dtype=complex))
+
+    @pytest.mark.parametrize("scale,accepted", [
+        (1.0, True), (1.0 + 5e-11, True), (1.0 + 2e-10, False),
+        (1.0 - 2e-10, False), (np.nan, False)])
+    def test_norm_check_on_a_stack(self, scale, accepted):
+        # Each stacked state is held to unit norm within 1e-10 on its own:
+        # one member scaled off by 2e-10 fails the whole stack.
+        field = coherent_weights(400.0, choose_cutoff(400.0, 1))
+        initial = initial_composite_state(
+            normalized_atoms(0.3, 0.5 - 0.2j, -0.4, 0.6j), field)
+        amps = Propagator(HamiltonianSpec(m=1, q=0.8), field.cutoff).evolve(
+            initial, np.linspace(0.0, 20.0, 6)).amplitudes
+        amps[3] *= scale
+        if accepted:
+            assert CompositeState(field.cutoff, amps).amplitudes is amps
+        else:
+            with pytest.raises(ValueError, match="composite state norm off 1"):
+                CompositeState(field.cutoff, amps)
