@@ -4,7 +4,7 @@ cross-validation report, all emitted as deterministic CSV/plain text.
 preset into one sweep.SweepConfig and format the rows of sweep.sweep;
 `validate` prints the report of validate.run_all_checks.  `teleport`
 computes its columns with teleport.branch_map, the affine map of each
-block's Bloch states (the exact engine's reduced states decomposed), and
+block's Bloch states as the sweep yields them, under every engine, and
 runs the gate-level circuit once, for the header's ideal-channel
 self-test.  A rejected input, or a time grid the host cannot hold, exits
 2 before any output.
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, states, teleport
-from .exact import _EIGENVALUE_FLOOR
+from .exact import positivity_warnings
 from .sweep import SweepConfig, sweep
 from .validate import ideal_channel_shortfall, run_all_checks
 
@@ -170,24 +170,13 @@ def _report_positivity(warnings: list[str]) -> None:
               f"{warnings[0]}", file=sys.stderr)
 
 
-def _receiver_warnings(sb) -> list[str]:
-    """The positivity warnings of the receiver states (1 + sb . sigma)/2,
-    branch by branch, as DensityMatrix.from_matrix words them: a qubit
-    state's smaller eigenvalue is (1 - |sb|)/2."""
-    smaller = (1.0 - np.sqrt(np.linalg.vecdot(sb, sb))) / 2.0
-    return [f"negative eigenvalue {value:.3e} below floor"
-            for value in smaller.T[smaller.T < _EIGENVALUE_FLOOR]]
-
-
 def cmd_simulate(config: SweepConfig, stream) -> int:
     columns = SIMULATE_COLUMNS + (("max_dev",) if config.engine == "both" else ())
     for line in _provenance(config, "simulate"):
         print(line, file=stream)
     print(",".join(columns), file=stream)
     warnings = []
-    for q, times, bloch, reduced in sweep(config):
-        if bloch is None:
-            bloch = states.decompose(reduced)
+    for q, times, bloch, reference in sweep(config):
         rho = states.compose(bloch)
         warnings.extend(rho.warnings)
         values = [
@@ -197,9 +186,8 @@ def cmd_simulate(config: SweepConfig, stream) -> int:
             bloch.cross.reshape(-1, 9), states.entanglement_degree(bloch),
             states.purity(bloch), states.negativity(rho),
         ]
-        if config.engine == "both":
-            values.append(states.max_deviation(
-                bloch, states.decompose(reduced)))
+        if reference is not None:
+            values.append(states.max_deviation(bloch, reference))
         print("\n".join(format_rows(values)), file=stream)
     _report_positivity(warnings)
     return 0
@@ -224,13 +212,13 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
     print(",".join(columns), file=stream)
     warnings = []
     count = len(teleport.OUTCOME_LABELS)
-    for q, times, bloch, reduced in sweep(config):
-        channel = reduced if bloch is None else states.compose(bloch)
-        warnings.extend(channel.warnings)
-        exact_bloch = None if reduced is None else states.decompose(reduced)
-        probability, sb = teleport.branch_map(
-            exact_bloch if bloch is None else bloch, su)
-        warnings.extend(_receiver_warnings(sb))
+    for q, times, bloch, reference in sweep(config):
+        if config.engine != "exact":  # the exact states passed a raising check
+            warnings.extend(states.compose(bloch).warnings)
+        probability, sb = teleport.branch_map(bloch, su)
+        # A receiver state (1 + sb . sigma)/2 has the eigenvalue (1 - |sb|)/2.
+        warnings.extend(positivity_warnings(
+            ((1.0 - np.sqrt(np.linalg.vecdot(sb, sb))) / 2.0).T))
         overlap = (1.0 + np.linalg.vecdot(sb, su)) / 2.0
         values = [
             probability,
@@ -239,9 +227,9 @@ def cmd_teleport(config: SweepConfig, stream) -> int:
             np.broadcast_to(teleport.average_fidelity(probability, overlap)
                             [..., None], probability.shape),
         ]
-        if config.engine == "both":
+        if reference is not None:
             values.append(np.max(np.abs(
-                sb - teleport.branch_map(exact_bloch, su)[1]), axis=-1))
+                sb - teleport.branch_map(reference, su)[1]), axis=-1))
         # Rows run time-major: the four branches of one time, then the next.
         leads = format_rows([np.repeat(times, count),
                              np.full(count * len(times), q)])

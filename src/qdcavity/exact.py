@@ -18,7 +18,7 @@ the full manifolds are written back by one slice per level.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "Propagator",
     "deformed_lowering_power",
     "initial_composite_state",
+    "positivity_warnings",
     "reduced_atomic_state",
 ]
 
@@ -98,13 +99,21 @@ class AtomicInitialState:
         return np.array(self.amplitudes, dtype=complex)
 
 
+def positivity_warnings(smallest) -> tuple[str, ...]:
+    """One warning per smallest eigenvalue below the truncation-dust floor."""
+    smallest = np.ravel(smallest)
+    return tuple(f"negative eigenvalue {value:.3e} below floor"
+                 for value in smallest[smallest < _EIGENVALUE_FLOOR])
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Dense Hermitian unit-trace matrix (or a stack of them) with
-    physicality validators; one warning per non-positive matrix."""
+    """Dense Hermitian unit-trace matrix (or a stack of them); from_matrix
+    records a warning per non-positive matrix and each min_eigenvalue."""
 
     matrix: np.ndarray
     warnings: tuple[str, ...] = ()
+    min_eigenvalue: np.ndarray | None = dataclass_field(default=None, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix",
@@ -126,12 +135,13 @@ class DensityMatrix:
         trace_dev = float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)))
         if not trace_dev <= _TRACE_TOL:
             raise PhysicalityError(f"trace deviates from 1 by {trace_dev:.3e}")
-        min_eig = np.ravel(np.linalg.eigvalsh((rho + rho.conj().mT) / 2.0)[..., 0])
-        warnings = tuple(f"negative eigenvalue {value:.3e} below floor"
-                         for value in min_eig[min_eig < _EIGENVALUE_FLOOR])
+        min_eig = np.linalg.eigvalsh((rho + rho.conj().mT) / 2.0)[..., 0]
+        warnings = positivity_warnings(min_eig)
         if warnings and positivity != "warn":
             raise PhysicalityError(warnings[0])
-        return cls(matrix=rho, warnings=warnings)
+        result = cls(matrix=rho, warnings=warnings)
+        object.__setattr__(result, "min_eigenvalue", min_eig)
+        return result
 
 
 def as_matrix(rho) -> np.ndarray:

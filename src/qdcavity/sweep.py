@@ -1,19 +1,19 @@
 """The one time sweep behind `simulate`, `teleport` and `validate`: a
 checked SweepConfig, and sweep(), which walks its time grid per q value
-in blocks of times (algebra.time_chunks) through one engine or both.
-SweepConfig holds only values a run reads; its checks reject every
-out-of-range or non-finite value, m whose ladder overflows and t_max
-whose largest phase overflows, and it builds the time grid, all before
-any output.  The engines work in units of 1/lambda: they see the
-couplings over lambda and evolve to lambda*t, so lambda moves no data row
-and is only echoed in the CSV header.
+in blocks of times (algebra.time_chunks) through one engine or both and
+yields Bloch stacks only.  SweepConfig holds only values a run reads;
+its checks reject every out-of-range or non-finite value, m whose ladder
+overflows and t_max whose largest phase overflows, and it builds the
+time grid, all before any output.  The engines work in units of
+1/lambda: they see the couplings over lambda and evolve to lambda*t, so
+lambda moves no data row and is only echoed in the CSV header.
 """
 
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import algebra, closedform, exact, teleport
+from . import algebra, closedform, exact, states, teleport
 
 __all__ = ["SweepConfig", "sweep"]
 
@@ -114,17 +114,17 @@ _MATRIX_CELLS = 16
 
 
 def sweep(config: SweepConfig):
-    """Yield (q, times, bloch, reduced) per q value and block of
-    CHUNK_CELLS // 16 times: the closed-form Bloch stack (None under engine
-    "exact") and the exact engine's reduced atomic states (None under
-    engine "closed").  Inside a block the engines run in kernel chunks of
-    CHUNK_CELLS // width times (X + 1 closed, cutoff + 1 exact), writing
-    their amplitudes into one buffer per sweep, with what time does not
-    change formed once per q (kernel_factors, Propagator.coefficients and
-    evolve's scratch) and dropped after its last block.  The closed form
-    works in one workspace per sweep and reduces each chunk into the
-    block's rows, read once per block; the exact engine's reduced 4x4
-    states are joined."""
+    """Yield (q, times, bloch, reference) per q value and block of
+    CHUNK_CELLS // 16 times: bloch is the run's Bloch stack, the exact
+    engine's under engine "exact" and else the closed form's, and
+    reference the exact engine's under "both", else None.  Inside a block
+    the engines run in kernel chunks of CHUNK_CELLS // width times (X + 1
+    closed, cutoff + 1 exact), writing their amplitudes into one buffer
+    per sweep, with what time does not change formed once per q
+    (kernel_factors, Propagator.coefficients and evolve's scratch) and
+    dropped after its last block.  The closed form works in one workspace
+    per sweep and reduces each chunk into the block's rows, read once per
+    block; the exact engine's reduced states are decomposed per block."""
     field = config.field()
     atoms = config.atomic_state()
     full = field.cutoff + 1
@@ -144,7 +144,7 @@ def sweep(config: SweepConfig):
         # evolve's scratch for the widest exact chunk, of cells // full times.
         scratch = np.empty(4 * full * (cells // full), complex) if propagate else None
         for block in blocks:
-            bloch = None
+            bloch = reference = None
             if closed:
                 sums = closedform.Reduction(
                     np.empty((4, len(block))), np.empty((6, len(block)), complex))
@@ -157,17 +157,18 @@ def sweep(config: SweepConfig):
                     start += len(times)
                 bloch = closedform.bloch_from_table(sums)
                 del sums
-            reduced = _join_states([exact.reduced_atomic_state(propagator.evolve(
-                initial, times, out=buffer[:4 * full * len(times)].reshape(
-                    -1, 4, full), work=scratch, coefficients=coefficients))
-                for times in algebra.time_chunks(block, full)]) if propagate else None
+            if propagate:
+                reference = exact.DensityMatrix(np.concatenate([
+                    exact.reduced_atomic_state(propagator.evolve(
+                        initial, times, out=buffer[:4 * full * len(times)].reshape(
+                            -1, 4, full), work=scratch,
+                        coefficients=coefficients)).matrix
+                    for times in algebra.time_chunks(block, full)]))
             if block is blocks[-1]:
                 propagator = factors = coefficients = scratch = None
-            yield q, block, bloch, reduced
-
-
-def _join_states(parts: list) -> exact.DensityMatrix:
-    """The chunks' reduced states as one stack, already validated."""
-    return exact.DensityMatrix(
-        np.concatenate([part.matrix for part in parts]),
-        tuple(warning for part in parts for warning in part.warnings))
+            # Decompose once the q's state is dropped: held, it adds to the peak.
+            if propagate:
+                reference = states.decompose(reference)
+                if not closed:
+                    bloch, reference = reference, None
+            yield q, block, bloch, reference

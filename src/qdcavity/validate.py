@@ -2,9 +2,9 @@
 of the closed-form engine with the exact propagator, and teleportation
 self-tests.  The CLI `validate` subcommand renders these results; the
 acceptance tests assert the same bounds independently.  Every time-sweep
-check reads a SweepConfig: those on Bloch vectors or reduced states run
-sweep.sweep, the code path of `simulate` and `teleport`, and the two that
-need the amplitude table itself build it on the config's time grid.  The
+check reads a SweepConfig: those on Bloch stacks read sweep.sweep's, the
+code path of `simulate` and `teleport`, and the two that need the
+amplitude table itself build it on the config's time grid.  The
 SweepConfig defaults give the excited pair |ee> and lambda*t in [0, 10].
 """
 
@@ -48,12 +48,11 @@ def equivalence_grid():
 
 
 def engine_pair_deviation(q: float, m: int, nbar: float) -> float:
-    """Worst per-component difference between the closed-form Bloch
-    representation and the decomposed exact propagator output: the
-    largest max_dev of `simulate --engine both`."""
+    """Worst component difference between the two engines' Bloch stacks:
+    the largest max_dev of `simulate --engine both`."""
     config = SweepConfig(engine="both", q_values=(q,), m=m, nbar=nbar)
-    return max(np.max(states.max_deviation(bloch, states.decompose(reduced)))
-               for _, _, bloch, reduced in sweep(config))
+    return max(np.max(states.max_deviation(bloch, reference))
+               for _, _, bloch, reference in sweep(config))
 
 
 def _table(config: SweepConfig, q: float) -> closedform.AmplitudeTable:
@@ -186,7 +185,8 @@ def check_bob_convention() -> CheckResult:
         table = _table(config, q)
         bloch = closedform.bloch_from_table(table)
         p, bob_state = teleport.circuit_teleport(states.compose(bloch), unknown)
-        carried = 2.0 * p[..., :1] * states.bloch_vector(bob_state)[..., 0, :]
+        carried = 2.0 * p[..., :1] * states.bloch_vector(
+            bob_state.matrix[..., 0, :, :])
         p, sb = teleport.branch_map(bloch, unknown.su)
         routes = (teleport.closed_form_bob(unknown, table),
                   2.0 * p[..., :1] * sb[..., 0, :])
@@ -207,7 +207,7 @@ def check_physicality() -> CheckResult:
         config = SweepConfig(q_values=(q,), m=m, nbar=nbar, steps=26)
         for _, _, bloch, _ in sweep(config):
             rho = states.compose(bloch)
-            worst_eig = min(worst_eig, np.min(np.linalg.eigvalsh(rho.matrix)))
+            worst_eig = min(worst_eig, np.min(rho.min_eigenvalue))
             traces = np.trace(rho.matrix, axis1=-2, axis2=-1).real
             worst_trace = max(worst_trace, np.max(np.abs(traces - 1.0)))
             p = states.purity(bloch)

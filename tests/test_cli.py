@@ -389,6 +389,29 @@ class TestPositivityWarnings:
                        "first: negative eigenvalue -1.000e-03 below floor\n")
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("engine", ["closed", "exact"])
+    def test_receiver_states_worded_as_from_matrix(self, engine, capsys,
+                                                   monkeypatch):
+        # A receiver vector of length 1.01 on the eg branch: the state
+        # (1 + sb . sigma)/2 has the eigenvalue -0.005, which teleport
+        # reports in from_matrix's words, once per time and q.
+        branch_map = teleport.branch_map
+
+        def stretched(bloch, su):
+            probability, sb = branch_map(bloch, su)
+            sb = sb.copy()
+            sb[..., 1, :] = (0.0, 0.0, 1.01)
+            return probability, sb
+
+        monkeypatch.setattr(teleport, "branch_map", stretched)
+        receiver = (np.eye(2) + 1.01 * states.PAULI_Z) / 2.0
+        first = DensityMatrix.from_matrix(receiver, positivity="warn").warnings
+        code, _, err = run_cli(["teleport", "--q", "0.5", "--q", "0.9",
+                                "--steps", "5", "--nbar", "2",
+                                "--engine", engine], capsys)
+        assert code == 0 and len(first) == 1
+        assert err == f"warning: 10 non-positive state(s), first: {first[0]}\n"
+
 
 @pytest.mark.parametrize("command", ["simulate", "teleport"])
 def test_huge_time_gives_finite_cells(command, capsys):
@@ -622,6 +645,27 @@ class TestTimeChunks:
             last = index % 2 == 1
             assert (held["factors"] is None) == (last or engine == "exact")
             assert (held["coefficients"] is None) == (last or engine == "closed")
+
+    @pytest.mark.parametrize("engine", ["exact", "both"])
+    def test_exact_stack_decomposed_after_the_q_state_is_dropped(
+            self, engine, monkeypatch):
+        # The decomposition's temporaries (two complex (times, 15, 4)
+        # arrays) must not stack on the propagator and scratch of a q
+        # that has no block left: that raised exact-large's peak RSS.
+        dropped = []
+        decompose = states.decompose
+
+        def recording(rho):
+            held = sys._getframe(1).f_locals
+            dropped.append(held["scratch"] is None)
+            return decompose(rho)
+
+        monkeypatch.setattr(states, "decompose", recording)
+        config = SweepConfig(engine=engine, q_values=(0.5, 0.9), nbar=400.0,
+                             steps=301)
+        assert [len(times) for _, times, _, _ in sweep(config)] == \
+            [256, 45] * 2
+        assert dropped == [False, True] * 2
 
     def test_sweep_takes_no_chunk_table_after_first_block(self):
         # Building c.real**2 + c.imag**2 per chunk (three real arrays of a

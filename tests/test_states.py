@@ -3,14 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdcavity import (
+    DensityMatrix,
     PhysicalityError,
+    Propagator,
     TwoQubitBlochState,
     bloch_vector,
     compose,
     decompose,
     entanglement_degree,
+    initial_composite_state,
     negativity,
     purity,
+    reduced_atomic_state,
 )
 from qdcavity.sweep import SweepConfig, sweep
 from conftest import (bell_phi_plus, random_density, random_product_density,
@@ -149,6 +153,25 @@ def generated_density(rng, rank: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def with_exact_oracle(config):
+    """sweep(config)'s (bloch, reference) per block, each with the exact
+    engine's Bloch stack at the block's times as the oracle computes it:
+    reference_decompose of reduced_atomic_state, evolved in one call over
+    the whole time grid rather than in the sweep's chunks."""
+    field = config.field()
+    initial = initial_composite_state(config.atomic_state(), field)
+    grid, start = config.time_grid, 0
+    for q, times, bloch, reference in sweep(config):
+        if start == 0:
+            whole = reference_decompose(reduced_atomic_state(Propagator(
+                config.hamiltonian(q), field.cutoff).evolve(initial, grid)))
+        rows = slice(start, start + len(times))
+        assert np.array_equal(times, grid[rows])
+        yield bloch, reference, TwoQubitBlochState(
+            whole.s[rows], whole.t[rows], whole.cross[rows])
+        start = (start + len(times)) % len(grid)
+
+
 class TestDecomposeBits:
     """decompose gathers one entry per column of each Pauli product and
     must keep the bits of the matrix-product form it replaced."""
@@ -173,8 +196,8 @@ class TestDecomposeBits:
         atoms = tuple(atoms / np.linalg.norm(atoms))
         config = SweepConfig(engine="both", q_values=(q,), m=m, nbar=nbar,
                              steps=21, atoms=atoms)
-        for _, _, bloch, reduced in sweep(config):
-            assert_same_bits(decompose(reduced), reference_decompose(reduced))
+        for bloch, reference, oracle in with_exact_oracle(config):
+            assert_same_bits(reference, oracle)
             closed = compose(bloch)
             assert_same_bits(decompose(closed), reference_decompose(closed))
 
@@ -183,8 +206,46 @@ class TestDecomposeBits:
                              steps=101, atoms=(0.6 + 0.2j, 0.1 - 0.3j,
                                                -0.3 + 0.5j, 0.4j))
         assert config.field().cutoff == 627
-        for _, _, _, reduced in sweep(config):
-            assert_same_bits(decompose(reduced), reference_decompose(reduced))
+        for bloch, reference, oracle in with_exact_oracle(config):
+            assert reference is None
+            assert_same_bits(bloch, oracle)
+
+
+def test_sweep_yields_the_runs_bloch_stack_and_the_exact_reference():
+    # Two blocks per q (256 + 45 times).  Only "both" yields a reference,
+    # its bloch is the closed form's, and the suspended sweep holds no
+    # density matrix: the exact engine's states are decomposed inside it.
+    def run(engine):
+        return sweep(SweepConfig(engine=engine, q_values=(0.5, 0.9), m=2,
+                                 steps=301))
+
+    closed = list(run("closed"))
+    assert [len(times) for _, times, _, _ in closed] == [256, 45] * 2
+    assert all(reference is None for *_, reference in closed)
+    for engine in ("exact", "both"):
+        blocks = run(engine)
+        for (_, times, bloch, reference), (_, _, closed_bloch, _) in zip(
+                blocks, closed, strict=True):
+            held = blocks.gi_frame.f_locals
+            assert "reduced" not in held
+            assert not any(isinstance(value, DensityMatrix)
+                           for value in held.values())
+            if engine == "exact":
+                assert reference is None
+            else:
+                assert_same_bits(bloch, closed_bloch)
+                assert reference.s.shape == (len(times), 3)
+
+
+def test_compose_keeps_each_smallest_eigenvalue(rng):
+    # compose's matrix is exactly Hermitian, so the spectrum from_matrix
+    # takes of its symmetrised input is the matrix's own, bit for bit.
+    stack = np.array([generated_density(rng, rank) for rank in (1, 2, 3, 4)
+                      for _ in range(3)]).reshape(4, 3, 4, 4)
+    rho = compose(decompose(stack))
+    assert rho.min_eigenvalue.shape == (4, 3)
+    assert np.array_equal(rho.min_eigenvalue,
+                          np.linalg.eigvalsh(rho.matrix)[..., 0])
 
 
 class TestNegativity:
